@@ -23,7 +23,7 @@ import numpy as np
 
 from . import metrics, reporting
 from .conditions import condition_report
-from .errors import ConfigError, NumericalError, QgplabError
+from .errors import ConfigError, InvalidParamsError, NumericalError, QgplabError
 from .evolve import evolve_schrodinger
 from .frames import TimeGrid, adiabatic_trajectory, build_frame
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -147,11 +147,17 @@ def parse_config(path: str) -> ScenarioConfig:
     return cfg
 
 
+def _check_tol(tol: float, where: str) -> None:
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigError(f"{where}: must be finite and positive, got {tol!r}")
+
+
 def _validate(cfg: ScenarioConfig) -> None:
     if cfg.samples < MIN_GRID:
         raise ConfigError(f"field 'samples' in [run]: grid size {cfg.samples} < {MIN_GRID}")
     if not cfg.tau_end > cfg.tau_start:
         raise ConfigError("field 'tau_end' in [run]: must exceed tau_start")
+    _check_tol(cfg.tol, "field 'tol' in [run]")
     if not 0.0 < cfg.delta < 1.0:
         raise ConfigError("field 'delta' in [conditions]: must lie in (0, 1)")
     if cfg.pairing not in ("conservative", "strict"):
@@ -258,8 +264,9 @@ def cmd_simulate(cfg: ScenarioConfig) -> int:
     fid_columns = [grid.samples, fid.values]
     rot = _rotating_params(cfg)
     if rot is not None:
+        # the closed form counts time from the start of the evolution
         fid_header.append("F_closed_form")
-        fid_columns.append(np.asarray(metrics.closed_form_F(rot, grid.samples)))
+        fid_columns.append(np.asarray(metrics.closed_form_F(rot, grid.samples - cfg.tau_start)))
     reporting.write_csv(f"{out}/fidelity.csv", fid_header, fid_columns)
     print(f"simulate: wrote {out}/trajectory.csv and {out}/fidelity.csv "
           f"(min F = {reporting.format_float(np.min(fid.values))})")
@@ -465,6 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         if args.command == "figure1":
+            _check_tol(args.tol, "option --tol")
             return cmd_figure1(args.out, samples=args.grid, tol=args.tol)
         cfg = _apply_overrides(parse_config(args.config), args)
         if args.command == "simulate":
@@ -474,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, InvalidParamsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

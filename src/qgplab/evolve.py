@@ -1,15 +1,30 @@
 """Exact dynamics, two independent ways.
 
-* ``evolve_schrodinger`` integrates i dpsi/dtau = h(tau) psi with the
-  exponential midpoint rule: every substep applies exp(-i h(t_mid) dt), so
-  each step is exactly unitary and norm drift is a property of the
-  implementation, not of the step size.  Accuracy is controlled by halving
-  the substep width until successive refinements agree below ``tol``.
+* ``evolve_schrodinger`` integrates i dpsi/dtau = h(tau) psi with an
+  exponential step rule (``StepRule``): every factor of a substep applies
+  exp(-i dt sum_k w_k h(t0 + c_k dt)) with real weights w, so each step is
+  exactly unitary and norm drift is a property of the implementation, not of
+  the step size.  Accuracy is controlled by halving the substep width until
+  successive refinements agree below ``tol``.
 * ``evolve_coefficients`` integrates the adiabatic-coefficient equations
   c_m' = i sum_n c_n M_mn on a spectral frame, with M_mn = |gamma_mn|
   e^{i theta_mn} rebuilt between frame samples from linearly interpolated
   magnitude and phase; the generator -M is Hermitian, so the same unitary
   stepper applies.
+
+Step rules
+----------
+``CF4`` (the rule of both adaptive integrators) is the 4th-order commutator-free
+Magnus rule of Blanes & Moan (Appl. Numer. Math. 56, 2006; see also
+Alvermann & Fehske, J. Comput. Phys. 230, 2011).  With Gauss nodes
+c = 1/2 -+ sqrt(3)/6, H_k = h(t0 + c_k dt) and weights
+a1 = (3 - 2 sqrt(3))/12, a2 = (3 + 2 sqrt(3))/12 one substep is
+
+    U = exp(-i dt (a1 H_1 + a2 H_2)) exp(-i dt (a2 H_1 + a1 H_2)),
+
+the right factor applied first (swapping them drops the rule to 2nd order).
+``MIDPOINT`` is the 2nd-order exponential midpoint rule exp(-i dt h(t_mid)),
+kept as the reference method (the default of ``schrodinger_fixed_step``).
 """
 
 from __future__ import annotations
@@ -23,7 +38,7 @@ from .frames import COUPLING_FLOOR, SpectralFrame, TimeGrid, adiabatic_trajector
 from .linalg import expm_unitary, expm_unitary_batch, require_hermitian, require_state
 from .models import HamiltonianModel
 
-#: substeps processed per vectorized chunk (bounds peak memory)
+#: step matrices (substeps x rule factors) per vectorized chunk (bounds peak memory)
 _CHUNK_SUBSTEPS = 1 << 19
 
 _MIN_STEP = 1e-12
@@ -47,6 +62,30 @@ class EvolutionResult:
         return self.states[-1]
 
 
+@dataclass(frozen=True, eq=False)
+class StepRule:
+    """Exponential step rule on one substep [t0, t0 + dt].
+
+    ``nodes`` are the sample points c_k as fractions of dt; row j of
+    ``weights`` is factor j = exp(-i dt sum_k W[j, k] h(t0 + c_k dt)).
+    Rows are listed in the order the factors are applied.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+
+
+MIDPOINT = StepRule(nodes=np.array([0.5]), weights=np.array([[1.0]]))
+
+_SQRT3 = np.sqrt(3.0)
+_CF4_A1 = (3.0 - 2.0 * _SQRT3) / 12.0
+_CF4_A2 = (3.0 + 2.0 * _SQRT3) / 12.0
+CF4 = StepRule(
+    nodes=np.array([0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0]),
+    weights=np.array([[_CF4_A2, _CF4_A1], [_CF4_A1, _CF4_A2]]),
+)
+
+
 def _compose_intervals(step_us: np.ndarray) -> np.ndarray:
     """Product over the substep axis (time order) of (n, s, N, N) unitaries."""
     u = step_us[:, 0]
@@ -55,26 +94,33 @@ def _compose_intervals(step_us: np.ndarray) -> np.ndarray:
     return u
 
 
-def _interval_transfers(sample_h, taus: np.ndarray, substeps: int, dim: int) -> np.ndarray:
-    """exp-midpoint transfer matrix of every grid interval at fixed substeps."""
+def _interval_transfers(
+    sample_h, taus: np.ndarray, substeps: int, dim: int, rule: StepRule
+) -> np.ndarray:
+    """Transfer matrix of every grid interval: ``substeps`` steps of ``rule``."""
     n_int = taus.size - 1
+    n_nodes = rule.nodes.size
+    n_factors = rule.weights.shape[0]
     transfers = np.empty((n_int, dim, dim), dtype=complex)
-    block = max(1, _CHUNK_SUBSTEPS // substeps)
-    offsets = (np.arange(substeps) + 0.5) / substeps
+    block = max(1, _CHUNK_SUBSTEPS // (substeps * max(n_nodes, n_factors)))
+    offsets = ((np.arange(substeps)[:, None] + rule.nodes[None, :]) / substeps).ravel()
     for i0 in range(0, n_int, block):
         i1 = min(i0 + block, n_int)
         t0 = taus[i0:i1]
-        widths = (taus[i0 + 1 : i1 + 1] - t0) / substeps
-        mids = t0[:, None] + offsets[None, :] * (taus[i0 + 1 : i1 + 1] - t0)[:, None]
-        hs = sample_h(mids.ravel()).reshape(i1 - i0, substeps, dim, dim)
-        dts = np.broadcast_to(widths[:, None], (i1 - i0, substeps))
-        transfers[i0:i1] = _compose_intervals(expm_unitary_batch(hs, dts))
+        spans = taus[i0 + 1 : i1 + 1] - t0
+        points = t0[:, None] + offsets[None, :] * spans[:, None]
+        hs = sample_h(points.ravel()).reshape(i1 - i0, substeps, n_nodes, dim * dim)
+        generators = (rule.weights @ hs).reshape(i1 - i0, substeps * n_factors, dim, dim)
+        dts = np.broadcast_to((spans / substeps)[:, None], generators.shape[:2])
+        transfers[i0:i1] = _compose_intervals(expm_unitary_batch(generators, dts))
     return transfers
 
 
-def _propagate_fixed(sample_h, psi0: np.ndarray, taus: np.ndarray, substeps: int) -> np.ndarray:
+def _propagate_fixed(
+    sample_h, psi0: np.ndarray, taus: np.ndarray, substeps: int, rule: StepRule
+) -> np.ndarray:
     dim = psi0.size
-    transfers = _interval_transfers(sample_h, taus, substeps, dim)
+    transfers = _interval_transfers(sample_h, taus, substeps, dim, rule)
     states = np.empty((taus.size, dim), dtype=complex)
     states[0] = psi0
     psi = psi0
@@ -91,10 +137,10 @@ _MAX_TOTAL_SUBSTEPS = 1 << 25
 def _adaptive_states(
     sample_h, psi0: np.ndarray, grid: TimeGrid, tol: float, max_refinements: int
 ) -> tuple[np.ndarray, int, int]:
-    """Halve substeps until successive refinements agree below tol."""
+    """Halve CF4 substeps until successive refinements agree below tol."""
     taus = grid.samples
     substeps = 1
-    states = _propagate_fixed(sample_h, psi0, taus, substeps)
+    states = _propagate_fixed(sample_h, psi0, taus, substeps, CF4)
     for level in range(1, max_refinements + 1):
         if np.max(np.diff(taus)) / (2 * substeps) < _MIN_STEP:
             raise StepUnderflowError(
@@ -105,7 +151,7 @@ def _adaptive_states(
                 f"refinement would exceed {_MAX_TOTAL_SUBSTEPS} substeps "
                 f"before reaching tol {tol:g} (stiff input)"
             )
-        finer = _propagate_fixed(sample_h, psi0, taus, 2 * substeps)
+        finer = _propagate_fixed(sample_h, psi0, taus, 2 * substeps, CF4)
         diff = float(np.max(np.linalg.norm(finer - states, axis=1)))
         states, substeps = finer, 2 * substeps
         if diff <= max(tol, 5e-14):
@@ -137,7 +183,7 @@ def evolve_schrodinger(
     max_refinements: int = 24,
 ) -> EvolutionResult:
     """Integrate i dpsi/dtau = h(tau) psi from the first grid sample."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     psi0 = require_state(psi0)
     if psi0.size != model.dim:
@@ -149,10 +195,15 @@ def evolve_schrodinger(
 
 
 def schrodinger_fixed_step(
-    model: HamiltonianModel, psi0: np.ndarray, grid: TimeGrid, substeps: int
+    model: HamiltonianModel,
+    psi0: np.ndarray,
+    grid: TimeGrid,
+    substeps: int,
+    *,
+    rule: StepRule = MIDPOINT,
 ) -> np.ndarray:
     """Fixed-substep states (used by convergence-order tests)."""
-    return _propagate_fixed(model.sample, require_state(psi0), grid.samples, substeps)
+    return _propagate_fixed(model.sample, require_state(psi0), grid.samples, substeps, rule)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,22 +223,32 @@ class CouplingMatrixM:
         return self.values.shape[1]
 
 
-def coupling_matrix(frame: SpectralFrame) -> CouplingMatrixM:
-    dim = frame.dim
-    k = frame.n_samples
-    values = np.zeros((k, dim, dim), dtype=complex)
-    for m in range(dim):
-        for n in range(m + 1, dim):
-            coupling = np.abs(frame.gamma[:, m, n])
-            if np.max(coupling) < COUPLING_FLOOR:
+def _coupling_pairs(frame: SpectralFrame) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+    """(m, n, |gamma_mn|, unwrapped theta_mn) for each m < n with a coupling.
+
+    Pairs whose coupling vanishes on the whole grid are skipped; one that
+    vanishes only on part of it raises UndefinedArg.
+    """
+    pairs = []
+    for m in range(frame.dim):
+        for n in range(m + 1, frame.dim):
+            magnitude = np.abs(frame.gamma[:, m, n])
+            if np.max(magnitude) < COUPLING_FLOOR:
                 continue
-            if np.min(coupling) < COUPLING_FLOOR:
+            if np.min(magnitude) < COUPLING_FLOOR:
                 raise UndefinedArgError(
                     f"|gamma_{m}{n}| vanishes on part of the grid; M undefined"
                 )
             theta, _ = theta_series(frame, m, n)
-            values[:, m, n] = coupling * np.exp(1j * theta)
-            values[:, n, m] = np.conjugate(values[:, m, n])
+            pairs.append((m, n, magnitude, theta))
+    return pairs
+
+
+def coupling_matrix(frame: SpectralFrame) -> CouplingMatrixM:
+    values = np.zeros((frame.n_samples, frame.dim, frame.dim), dtype=complex)
+    for m, n, magnitude, theta in _coupling_pairs(frame):
+        values[:, m, n] = magnitude * np.exp(1j * theta)
+        values[:, n, m] = np.conjugate(values[:, m, n])
     return CouplingMatrixM(grid=frame.grid, values=values)
 
 
@@ -209,15 +270,7 @@ def evolve_coefficients(
         raise GridMismatchError(f"coefficient dim {c0.size} != frame dim {frame.dim}")
     dim = frame.dim
     taus = frame.grid.samples
-    coupling_matrix(frame)  # surface UndefinedArg before integrating
-    pairs = []
-    for m in range(dim):
-        for n in range(m + 1, dim):
-            magnitude = np.abs(frame.gamma[:, m, n])
-            if np.max(magnitude) < COUPLING_FLOOR:
-                continue
-            theta, _ = theta_series(frame, m, n)
-            pairs.append((m, n, magnitude, theta))
+    pairs = _coupling_pairs(frame)
 
     def sample_generator(ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
@@ -254,8 +307,3 @@ def evolve_exact_constant(h: np.ndarray, psi0: np.ndarray, tau: float) -> np.nda
     h = require_hermitian(np.asarray(h, dtype=complex))
     psi0 = require_state(psi0)
     return expm_unitary(h, tau) @ psi0
-
-
-def fidelity_series(states_a: np.ndarray, states_b: np.ndarray) -> np.ndarray:
-    """|<a_k|b_k>| per sample for two (K, N) state stacks."""
-    return np.abs(np.einsum("kn,kn->k", states_a.conj(), states_b))

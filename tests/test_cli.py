@@ -111,6 +111,48 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", str(path)]) == 3
         assert "gap" in capsys.readouterr().err.lower()
 
+    def test_closed_form_column_counts_from_tau_start(self, tmp_path):
+        params = RotatingSpinParams(eta=1.0, xi=0.5, K=2.0)
+        tau_start = 2.01
+        text = ROTATING_CONFIG.format(
+            eta=params.eta, xi=params.xi, k=params.K, samples=1024, out=tmp_path / "out",
+            tau_end=tau_start + 2.0 * metrics.rotating_fidelity_period(params),
+        )
+        config = tmp_path / "shifted.ini"
+        config.write_text(text.replace("tau_start = 0.0", f"tau_start = {tau_start}"))
+        assert cli.main(["simulate", "--config", str(config)]) == 0
+        _, rows = read_csv(tmp_path / "out" / "fidelity.csv")
+        assert rows[0, 0] == pytest.approx(2.01)
+        assert np.max(np.abs(rows[:, 1] - rows[:, 2])) < 1e-6
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+    def test_bad_tol_in_config_exits_2(self, tmp_path, capsys, tol):
+        params = RotatingSpinParams(eta=1.0, xi=0.5, K=2.0)
+        config = rotating_config(tmp_path, params)
+        config.write_text(config.read_text().replace("tol = 1e-9", f"tol = {tol}"))
+        assert cli.main(["simulate", "--config", str(config)]) == 2
+        assert "tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "0"])
+    def test_bad_tol_override_exits_2(self, tmp_path, capsys, tol):
+        params = RotatingSpinParams(eta=1.0, xi=0.5, K=2.0)
+        config = rotating_config(tmp_path, params)
+        assert cli.main(["simulate", "--config", str(config), "--tol", tol]) == 2
+        assert "tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "0"])
+    def test_bad_figure1_tol_exits_2(self, tmp_path, capsys, tol):
+        assert cli.main(["figure1", "--out", str(tmp_path / "fig"), "--tol", tol]) == 2
+        assert "tol" in capsys.readouterr().err
+        assert not (tmp_path / "fig").exists()
+
+    def test_invalid_model_params_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.ini"
+        path.write_text(f"[model]\nname = rotating_spin\neta = 1.0\nxi = 0.5\nk = nan\n"
+                        f"[output]\ndir = {tmp_path / 'out'}\n")
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         params = RotatingSpinParams(eta=1.0, xi=0.5, K=2.0)
         config = rotating_config(tmp_path, params, samples=512)

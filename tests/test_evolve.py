@@ -5,6 +5,7 @@ from conftest import random_hermitian
 from qgplab import evolve, metrics, models
 from qgplab.errors import StepUnderflowError, UndefinedArgError
 from qgplab.evolve import (
+    CF4,
     coupling_matrix,
     evolve_coefficients,
     evolve_exact_constant,
@@ -85,6 +86,30 @@ class TestSchrodinger:
         assert err[0] / err[1] >= 3.0
         assert err[1] / err[2] >= 3.0
 
+    def test_cf4_fourth_order_convergence(self):
+        model = rotating_spin(RotatingSpinParams(eta=1.0, xi=0.7, K=2.0))
+        grid = TimeGrid.uniform(0.0, 3.0, 9)
+        psi0 = np.array([1.0, 0.0], dtype=complex)
+        reference = schrodinger_fixed_step(model, psi0, grid, 2048, rule=CF4)
+        err = []
+        for substeps in (4, 8, 16):
+            states = schrodinger_fixed_step(model, psi0, grid, substeps, rule=CF4)
+            err.append(np.max(np.linalg.norm(states - reference, axis=1)))
+        assert err[0] / err[1] >= 12.0
+        assert err[1] / err[2] >= 12.0
+
+    def test_regime_a_cf4_few_substeps(self, regime_unfaithful):
+        params = regime_unfaithful
+        model = rotating_spin(params)
+        grid = TimeGrid.uniform(0.0, 2.0 * metrics.rotating_fidelity_period(params), 4097)
+        frame = build_frame(model, grid, gamma_mode="analytic_frame")
+        result = evolve_schrodinger(model, frame.vectors[0, :, 1].copy(), grid, tol=1e-9)
+        fid = metrics.fidelity(result, adiabatic_trajectory(frame, 1))
+        np.testing.assert_allclose(
+            fid.values, metrics.closed_form_F(params, grid.samples), atol=1e-8
+        )
+        assert result.substeps_per_interval <= 8
+
     def test_step_underflow(self):
         # h swings on the 1e-13 scale, so refinements over a 2e-12 interval
         # never agree and the minimum-step guard must fire
@@ -103,6 +128,13 @@ class TestSchrodinger:
         grid = TimeGrid.uniform(0.0, 1.0, 3)
         with pytest.raises(ValueError):
             evolve_schrodinger(model, np.array([1.0, 1.0]), grid)
+
+    @pytest.mark.parametrize("tol", [0.0, float("nan")])
+    def test_rejects_bad_tol(self, tol):
+        model = constant_model(SIGMA_Z)
+        grid = TimeGrid.uniform(0.0, 1.0, 3)
+        with pytest.raises(ValueError, match="tol"):
+            evolve_schrodinger(model, np.array([1.0, 0.0], dtype=complex), grid, tol=tol)
 
 
 class TestCouplingMatrix:
@@ -143,6 +175,16 @@ class TestCouplingMatrix:
         )
         with pytest.raises(UndefinedArgError):
             coupling_matrix(frame)
+
+    def test_partial_zero_coupling_rejected_by_coefficients(self):
+        curve = BlochCurveModel(
+            theta=SmoothScalar.constant(np.pi / 3), phi=SmoothScalar.poly([0.0, 0.0, 1.0])
+        )
+        frame = build_frame(
+            bloch_curve(curve), TimeGrid.uniform(0.0, 1.0, 257), gamma_mode="analytic_frame"
+        )
+        with pytest.raises(UndefinedArgError):
+            evolve_coefficients(frame, np.array([0.0, 1.0], dtype=complex))
 
 
 class TestCoefficients:

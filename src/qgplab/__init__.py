@@ -2,11 +2,12 @@
 potential (QGP) in N-level quantum systems.
 
 Layers, bottom-up: ``linalg`` (dense Hermitian algebra), ``models``
-(Hamiltonian families), ``frames`` (gauge-continuous eigenframes),
-``evolve`` (Schrodinger and coefficient-frame propagation), ``qgp``
-(geometric potential, curvature, loop identities), ``conditions``
-(adiabaticity criteria and the Pi-matrix machinery), ``metrics``
-(closed-form oracles), ``cli`` (scenario runner).
+(Hamiltonian families, sampled on whole arrays of tau), ``frames``
+(gauge-continuous eigenframes), ``evolve`` (Schrodinger and
+coefficient-frame propagation), ``qgp`` (geometric potential, curvature,
+loop identities), ``conditions`` (adiabaticity criteria and the Pi-matrix
+machinery), ``metrics`` (closed-form oracles), ``cli`` (configs and one
+compute-once scenario run behind every subcommand).
 """
 
 from . import conditions, evolve, frames, linalg, metrics, models, numerics, qgp

@@ -9,6 +9,9 @@ sweep       grid-sweep up to three model parameters and tabulate verdicts
 
 Configs are INI-style key = value sections ([model], [run], [conditions],
 [output]).  Exit codes: 0 success, 2 config/usage error, 3 numerical error.
+
+``simulate``, ``conditions`` and each point of ``sweep`` are projections of
+one ``ScenarioRun``, which computes each stage of the chain at most once.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import configparser
 import itertools
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -139,12 +143,14 @@ def parse_config(path: str) -> ScenarioConfig:
         if raw is not None:
             cfg.outputs = tuple(p.strip() for p in raw.split(",") if p.strip())
     if "sweep" in parser:
-        cfg.sweep = {
-            key: [float(v) for v in raw.split(",") if v.strip() != ""]
-            for key, raw in parser["sweep"].items()
-        }
+        sweep = parser["sweep"]
+        cfg.sweep = {key: _get(sweep, key, _float_list, where="sweep") for key in sweep}
     _validate(cfg)
     return cfg
+
+
+def _float_list(raw: str) -> list[float]:
+    return [float(v) for v in raw.split(",") if v.strip() != ""]
 
 
 def _check_tol(tol: float, where: str) -> None:
@@ -152,9 +158,16 @@ def _check_tol(tol: float, where: str) -> None:
         raise ConfigError(f"{where}: must be finite and positive, got {tol!r}")
 
 
+def _check_grid(samples: int, where: str) -> None:
+    if samples < MIN_GRID:
+        raise ConfigError(f"{where}: grid size {samples} < {MIN_GRID}")
+
+
 def _validate(cfg: ScenarioConfig) -> None:
-    if cfg.samples < MIN_GRID:
-        raise ConfigError(f"field 'samples' in [run]: grid size {cfg.samples} < {MIN_GRID}")
+    _check_grid(cfg.samples, "field 'samples' in [run]")
+    for key in ("tau_start", "tau_end"):
+        if not np.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"field '{key}' in [run]: must be finite, got {getattr(cfg, key)!r}")
     if not cfg.tau_end > cfg.tau_start:
         raise ConfigError("field 'tau_end' in [run]: must exceed tau_start")
     _check_tol(cfg.tol, "field 'tol' in [run]")
@@ -162,10 +175,19 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("field 'delta' in [conditions]: must lie in (0, 1)")
     if cfg.pairing not in ("conservative", "strict"):
         raise ConfigError("field 'pairing' in [conditions]: conservative or strict")
-    build_model(cfg)  # surfaces model-parameter errors at parse time
+    for key, values in cfg.sweep.items():
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"field '{key}' in [sweep]: values must be finite, got {values!r}")
+    model, _ = build_model(cfg)  # surfaces model-parameter errors at parse time
+    if not 0 <= cfg.level < model.dim:
+        raise ConfigError(
+            f"field 'level' in [run]: {cfg.level} is not a level of a {model.dim}-level model"
+        )
 
 
-def build_model(cfg: ScenarioConfig) -> HamiltonianModel:
+def build_model(cfg: ScenarioConfig) -> tuple[HamiltonianModel, object]:
+    """The configured model and the parameter record its closed forms take,
+    ``RotatingSpinParams`` or ``RobustModelParams`` (None for other models)."""
     params = cfg.model_params
     name = cfg.model_name
 
@@ -179,13 +201,13 @@ def build_model(cfg: ScenarioConfig) -> HamiltonianModel:
 
     try:
         if name == "rotating_spin":
-            return rotating_spin(RotatingSpinParams(eta=need("eta"), xi=need("xi"), K=need("k")))
+            rot = RotatingSpinParams(eta=need("eta"), xi=need("xi"), K=need("k"))
+            return rotating_spin(rot), rot
         if name == "robust":
-            return robust_model(
-                RobustModelParams(
-                    eta=need("eta"), eta0=need("eta0"), eta1=need("eta1"), eta2=need("eta2")
-                )
+            robust = RobustModelParams(
+                eta=need("eta"), eta0=need("eta0"), eta1=need("eta1"), eta2=need("eta2")
             )
+            return robust_model(robust), robust
         if name == "bloch_curve":
             curve = BlochCurveModel(
                 theta=_parse_scalar_descriptor(params, "theta", "model"),
@@ -193,7 +215,7 @@ def build_model(cfg: ScenarioConfig) -> HamiltonianModel:
                 A=SmoothScalar.constant(float(params.get("a", 0.0))),
                 B=SmoothScalar.constant(float(params.get("b", 1.0))),
             )
-            return bloch_curve(curve)
+            return bloch_curve(curve), None
         if name == "fourier":
             import json
 
@@ -221,7 +243,7 @@ def build_model(cfg: ScenarioConfig) -> HamiltonianModel:
                         phase=float(term_spec.get("phase", 0.0)),
                     )
                 )
-            return fourier_nlevel(dim, terms)
+            return fourier_nlevel(dim, terms), None
     except QgplabError:
         raise
     except (KeyError, ValueError) as exc:
@@ -229,31 +251,51 @@ def build_model(cfg: ScenarioConfig) -> HamiltonianModel:
     raise ConfigError(f"field 'name' in [model]: unknown model {cfg.model_name!r}")
 
 
-def _rotating_params(cfg: ScenarioConfig) -> RotatingSpinParams | None:
-    if cfg.model_name != "rotating_spin":
-        return None
-    p = cfg.model_params
-    return RotatingSpinParams(eta=float(p["eta"]), xi=float(p["xi"]), K=float(p["k"]))
+class ScenarioRun:
+    """One scenario: model -> grid -> frame -> report / evolution -> fidelity.
 
+    The model is built on construction; every later stage at most once, on
+    first use.  The evolution starts in level ``cfg.level`` of the frame.
+    """
 
-def _run_simulation(cfg: ScenarioConfig):
-    model = build_model(cfg)
-    grid = TimeGrid.uniform(cfg.tau_start, cfg.tau_end, cfg.samples)
-    frame = build_frame(model, grid)
-    psi0 = frame.vectors[0, :, cfg.level].copy()
-    result = evolve_schrodinger(model, psi0, grid, tol=cfg.tol)
-    trajectory = adiabatic_trajectory(frame, cfg.level)
-    fid = metrics.fidelity(result, trajectory)
-    return model, grid, frame, result, fid
+    def __init__(self, cfg: ScenarioConfig):
+        self.cfg = cfg
+        self.model, self.params = build_model(cfg)
+
+    @cached_property
+    def grid(self) -> TimeGrid:
+        return TimeGrid.uniform(self.cfg.tau_start, self.cfg.tau_end, self.cfg.samples)
+
+    @cached_property
+    def frame(self):
+        return build_frame(self.model, self.grid)
+
+    @cached_property
+    def report(self):
+        cfg = self.cfg
+        return condition_report(
+            self.frame, cfg.level, delta_threshold=cfg.delta,
+            traditional_threshold=cfg.traditional_threshold, pairing=cfg.pairing,
+        )
+
+    @cached_property
+    def evolution(self):
+        psi0 = self.frame.vectors[0, :, self.cfg.level].copy()
+        return evolve_schrodinger(self.model, psi0, self.grid, tol=self.cfg.tol)
+
+    @cached_property
+    def fidelity(self):
+        return metrics.fidelity(self.evolution, adiabatic_trajectory(self.frame, self.cfg.level))
 
 
 def cmd_simulate(cfg: ScenarioConfig) -> int:
     out = reporting.ensure_dir(cfg.out_dir)
-    model, grid, frame, result, fid = _run_simulation(cfg)
+    run = ScenarioRun(cfg)
+    grid, result, fid = run.grid, run.evolution, run.fidelity
 
     columns = [grid.samples]
     header = ["tau"]
-    for n in range(model.dim):
+    for n in range(run.model.dim):
         header += [f"re_a{n}", f"im_a{n}"]
         columns += [result.states[:, n].real, result.states[:, n].imag]
     header.append("norm")
@@ -262,11 +304,12 @@ def cmd_simulate(cfg: ScenarioConfig) -> int:
 
     fid_header = ["tau", "F_simulated"]
     fid_columns = [grid.samples, fid.values]
-    rot = _rotating_params(cfg)
-    if rot is not None:
+    if isinstance(run.params, RotatingSpinParams):
         # the closed form counts time from the start of the evolution
         fid_header.append("F_closed_form")
-        fid_columns.append(np.asarray(metrics.closed_form_F(rot, grid.samples - cfg.tau_start)))
+        fid_columns.append(
+            np.asarray(metrics.closed_form_F(run.params, grid.samples - cfg.tau_start))
+        )
     reporting.write_csv(f"{out}/fidelity.csv", fid_header, fid_columns)
     print(f"simulate: wrote {out}/trajectory.csv and {out}/fidelity.csv "
           f"(min F = {reporting.format_float(np.min(fid.values))})")
@@ -275,16 +318,8 @@ def cmd_simulate(cfg: ScenarioConfig) -> int:
 
 def cmd_conditions(cfg: ScenarioConfig) -> int:
     out = reporting.ensure_dir(cfg.out_dir)
-    model = build_model(cfg)
-    grid = TimeGrid.uniform(cfg.tau_start, cfg.tau_end, cfg.samples)
-    frame = build_frame(model, grid)
-    report = condition_report(
-        frame,
-        cfg.level,
-        delta_threshold=cfg.delta,
-        traditional_threshold=cfg.traditional_threshold,
-        pairing=cfg.pairing,
-    )
+    run = ScenarioRun(cfg)
+    report = run.report
 
     header = ["tau", "gap", "|gamma|", "delta_qgp", "traditional_ratio", "new_ratio"]
     multi = len(report.pairs) > 1
@@ -295,7 +330,7 @@ def cmd_conditions(cfg: ScenarioConfig) -> int:
             else pair_series.new_ratio_strict
         )
         columns = [
-            grid.samples,
+            run.grid.samples,
             pair_series.gap,
             pair_series.gamma_abs,
             pair_series.delta,
@@ -324,8 +359,7 @@ def cmd_conditions(cfg: ScenarioConfig) -> int:
         f"{reporting.format_float(report.probability_floor)}",
     ]
     if "fidelity" in cfg.outputs or "trajectory" in cfg.outputs:
-        _, _, _, result, fid = _run_simulation(cfg)
-        occ = metrics.occupation(result, frame, cfg.level)
+        fid, occ = run.fidelity, metrics.occupation(run.evolution, run.frame, cfg.level)
         lines.append(f"observed min fidelity: {reporting.format_float(np.min(fid.values))}")
         lines.append(f"observed min occupation: {reporting.format_float(np.min(occ.values))}")
     text = "\n".join(lines) + "\n"
@@ -403,17 +437,8 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
     for values in itertools.product(*grids):
         point = dict(cfg.model_params)
         point.update({name: repr(v) for name, v in zip(names, values)})
-        point_cfg = replace(cfg, model_params=point, sweep={})
-        model = build_model(point_cfg)
-        grid = TimeGrid.uniform(cfg.tau_start, cfg.tau_end, cfg.samples)
-        frame = build_frame(model, grid)
-        report = condition_report(
-            frame, cfg.level, delta_threshold=cfg.delta,
-            traditional_threshold=cfg.traditional_threshold, pairing=cfg.pairing,
-        )
-        psi0 = frame.vectors[0, :, cfg.level].copy()
-        result = evolve_schrodinger(model, psi0, grid, tol=cfg.tol)
-        fid = metrics.fidelity(result, adiabatic_trajectory(frame, cfg.level))
+        run = ScenarioRun(replace(cfg, model_params=point, sweep={}))
+        report = run.report
         rows.append(
             list(values)
             + [
@@ -421,7 +446,7 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
                 1.0 if report.traditional_pass else 0.0,
                 report.max_new,
                 1.0 if report.new_pass else 0.0,
-                float(np.min(fid.values)),
+                float(np.min(run.fidelity.values)),
             ]
         )
     table = np.array(rows, dtype=float)
@@ -446,12 +471,10 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=int, default=None, help="grid sample override")
         p.add_argument("--tol", type=float, default=None, help="integrator tolerance override")
         p.add_argument("--delta", type=float, default=None, help="criterion delta override")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized drivers")
     fig = sub.add_parser("figure1")
     fig.add_argument("--out", default="out", help="output directory")
     fig.add_argument("--grid", type=int, default=4096)
     fig.add_argument("--tol", type=float, default=1e-6)
-    fig.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -472,6 +495,7 @@ def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         if args.command == "figure1":
+            _check_grid(args.grid, "option --grid")
             _check_tol(args.tol, "option --tol")
             return cmd_figure1(args.out, samples=args.grid, tol=args.tol)
         cfg = _apply_overrides(parse_config(args.config), args)

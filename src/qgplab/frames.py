@@ -126,14 +126,14 @@ def _resolve_gamma_mode(model: HamiltonianModel, gamma_mode: str) -> str:
     if gamma_mode == "auto":
         if model.analytic_frame is not None:
             return "analytic_frame"
-        if model.derivative is not None:
+        if model.derivative_batch is not None:
             return "analytic_derivative"
         return "finite_difference"
     if gamma_mode not in ("analytic_frame", "analytic_derivative", "finite_difference"):
         raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
     if gamma_mode == "analytic_frame" and model.analytic_frame is None:
         raise ValueError(f"model {model.label!r} has no analytic frame")
-    if gamma_mode == "analytic_derivative" and model.derivative is None:
+    if gamma_mode == "analytic_derivative" and model.derivative_batch is None:
         raise ValueError(f"model {model.label!r} has no analytic derivative")
     return gamma_mode
 

@@ -13,11 +13,10 @@ import numpy as np
 
 from .errors import NoConvergenceError, NotHermitianError
 
-# Pauli matrices and the 2x2 identity, used by every built-in model.
+# Pauli matrices, used by every built-in model.
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 #: Relative gap below which eigh flags a spectrum as degenerate.
 DEGENERACY_RTOL = 1e-10

@@ -1,9 +1,10 @@
 """Hamiltonian models: tau -> Hermitian matrix, with optional analytic extras.
 
-A model bundles the matrix-valued function h(tau) with, when available, its
-analytic time derivative and a closed-form eigenframe (energies, eigenvectors,
-non-adiabatic coupling matrix, and the geometric gap correction).  All models
-are constructed already dimensionless; ``dimensionless`` rescales a raw one.
+A model bundles the matrix-valued function h(tau), sampled on whole arrays of
+tau, with, when available, its analytic time derivative (also batched) and a
+closed-form eigenframe (energies, eigenvectors, non-adiabatic coupling
+matrix, and the geometric gap correction).  All models are constructed
+already dimensionless; ``dimensionless`` rescales a raw one.
 
 Built-in models:
 
@@ -11,7 +12,8 @@ Built-in models:
   h = eta*sz + xi*(sx cos(2*K*eta*tau) + sy sin(2*K*eta*tau)).
 * ``robust_model``   - 2-level system built from nested conjugations by
   matrix exponentials, engineered so the occupation floor is insensitive to
-  the fast-drive magnitude.
+  the fast-drive magnitude; ``robust_hamiltonian_nested`` evaluates the
+  defining nested-exponential expression as an independent oracle.
 * ``bloch_curve``    - h = A(tau)*I + B(tau)*nhat(tau).sigma for a smooth
   curve nhat on the Bloch sphere.
 * ``fourier_nlevel`` - sum_k a_k cos(w_k tau + p_k) H_k for Hermitian H_k.
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .errors import GapClosureError, InvalidParamsError, NotHermitianError
-from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 # Step used when a scalar's derivative has to fall back to finite differences.
 _FD_STEP = 1e-5
@@ -44,10 +46,6 @@ class SmoothScalar:
     value: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray] | None = None
     deriv2: Callable[[np.ndarray], np.ndarray] | None = None
-
-    @property
-    def has_analytic_derivatives(self) -> bool:
-        return self.deriv is not None and self.deriv2 is not None
 
     def d1(self, tau):
         if self.deriv is not None:
@@ -123,30 +121,31 @@ class AnalyticFrame:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianModel:
-    """Time-dependent Hermitian generator with optional analytic structure."""
+    """Time-dependent Hermitian generator with optional analytic structure.
+
+    The model is batch-only: ``evaluate_batch`` maps a float array of K taus
+    to h, shape (K, dim, dim), and ``derivative_batch``, when present, gives
+    dh/dtau the same way.  ``evaluate`` is the single-tau view of ``sample``.
+    """
 
     dim: int
-    evaluate: Callable[[float], np.ndarray]
-    derivative: Callable[[float], np.ndarray] | None = None
+    evaluate_batch: Callable[[np.ndarray], np.ndarray]
+    derivative_batch: Callable[[np.ndarray], np.ndarray] | None = None
     analytic_frame: AnalyticFrame | None = None
     label: str = ""
-    evaluate_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    derivative_batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def sample(self, taus: np.ndarray) -> np.ndarray:
         """h at every tau in ``taus``; shape (K, dim, dim)."""
-        taus = np.asarray(taus, dtype=float)
-        if self.evaluate_batch is not None:
-            return self.evaluate_batch(taus)
-        return np.stack([self.evaluate(float(t)) for t in np.atleast_1d(taus)])
+        return self.evaluate_batch(np.asarray(taus, dtype=float))
 
     def sample_derivative(self, taus: np.ndarray) -> np.ndarray:
-        if self.derivative is None:
+        if self.derivative_batch is None:
             raise InvalidParamsError(f"model {self.label!r} has no analytic derivative")
-        taus = np.asarray(taus, dtype=float)
-        if self.derivative_batch is not None:
-            return self.derivative_batch(taus)
-        return np.stack([self.derivative(float(t)) for t in np.atleast_1d(taus)])
+        return self.derivative_batch(np.asarray(taus, dtype=float))
+
+    def evaluate(self, tau: float) -> np.ndarray:
+        """h at the single time ``tau``; shape (dim, dim)."""
+        return self.sample(np.array([tau]))[0]
 
 
 def dimensionless(model: HamiltonianModel, level: int = 0) -> HamiltonianModel:
@@ -162,9 +161,6 @@ def dimensionless(model: HamiltonianModel, level: int = 0) -> HamiltonianModel:
 
     return HamiltonianModel(
         dim=model.dim,
-        evaluate=scaled(model.evaluate),
-        derivative=scaled(model.derivative),
-        analytic_frame=None,
         label=f"{model.label}/scale={scale:.12g}",
         evaluate_batch=scaled(model.evaluate_batch),
         derivative_batch=scaled(model.derivative_batch),
@@ -290,8 +286,6 @@ def rotating_spin(params: RotatingSpinParams) -> HamiltonianModel:
 
     return HamiltonianModel(
         dim=2,
-        evaluate=lambda tau: evaluate_batch(np.array([tau]))[0],
-        derivative=lambda tau: derivative_batch(np.array([tau]))[0],
         analytic_frame=AnalyticFrame(frame_at=frame_at, delta_at=delta_at),
         label=f"rotating_spin(eta={eta:g},xi={xi:g},K={K:g})",
         evaluate_batch=evaluate_batch,
@@ -367,30 +361,26 @@ def _robust_bloch_components(p: RobustModelParams, taus: np.ndarray):
     return hx, hy, hz
 
 
+def robust_hamiltonian_nested(params: RobustModelParams, tau: float) -> np.ndarray:
+    """h(tau) of the robust model from its defining nested exponentials.
+
+    An independent route to the closed-form Pauli components that
+    ``robust_model`` samples; tests pin the two against each other.
+    """
+    p = params
+    u_z = linalg.expm_unitary(SIGMA_Z, p.eta * tau)
+    u_x = linalg.expm_unitary(SIGMA_X, -p.eta2 * tau)  # e^{+i eta2 sx tau}
+    inner = p.eta0 * SIGMA_X + p.eta1 * (u_x @ SIGMA_Z @ linalg.dagger(u_x))
+    return p.eta * SIGMA_Z + u_z @ inner @ linalg.dagger(u_z)
+
+
 def robust_model(params: RobustModelParams) -> HamiltonianModel:
     """2-level model with a fast wobble riding on a strong static field.
 
-    ``evaluate`` follows the defining nested-exponential expression;
-    ``evaluate_batch`` uses the equivalent closed-form Pauli components
-    (equality is pinned by tests).
+    Samples the closed-form Pauli components of the nested-exponential
+    definition (``robust_hamiltonian_nested``).
     """
     p = params
-
-    def evaluate(tau: float) -> np.ndarray:
-        u_z = linalg.expm_unitary(SIGMA_Z, p.eta * tau)
-        u_x = linalg.expm_unitary(SIGMA_X, -p.eta2 * tau)  # e^{+i eta2 sx tau}
-        inner = p.eta0 * SIGMA_X + p.eta1 * (u_x @ SIGMA_Z @ linalg.dagger(u_x))
-        return p.eta * SIGMA_Z + u_z @ inner @ linalg.dagger(u_z)
-
-    def derivative(tau: float) -> np.ndarray:
-        # Product rule over the two conjugations.
-        u_z = linalg.expm_unitary(SIGMA_Z, p.eta * tau)
-        u_x = linalg.expm_unitary(SIGMA_X, -p.eta2 * tau)
-        rotated_z = u_x @ SIGMA_Z @ linalg.dagger(u_x)
-        inner = p.eta0 * SIGMA_X + p.eta1 * rotated_z
-        d_inner = p.eta1 * 1j * p.eta2 * (SIGMA_X @ rotated_z - rotated_z @ SIGMA_X)
-        comm = -1j * p.eta * (SIGMA_Z @ inner - inner @ SIGMA_Z)
-        return u_z @ (comm + d_inner) @ linalg.dagger(u_z)
 
     def evaluate_batch(taus):
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
@@ -428,8 +418,6 @@ def robust_model(params: RobustModelParams) -> HamiltonianModel:
 
     return HamiltonianModel(
         dim=2,
-        evaluate=evaluate,
-        derivative=derivative,
         label=(
             f"robust(eta={p.eta:g},eta0={p.eta0:g},eta1={p.eta1:g},eta2={p.eta2:g})"
         ),
@@ -600,12 +588,6 @@ def bloch_curve(curve: BlochCurveModel) -> HamiltonianModel:
 
     return HamiltonianModel(
         dim=2,
-        evaluate=lambda tau: evaluate_batch(np.array([tau]))[0],
-        derivative=(
-            (lambda tau: derivative_batch(np.array([tau]))[0])
-            if derivative_batch is not None
-            else None
-        ),
         analytic_frame=analytic,
         label="bloch_curve",
         evaluate_batch=evaluate_batch,
@@ -661,8 +643,6 @@ def fourier_nlevel(dim: int, terms: list[FourierTerm]) -> HamiltonianModel:
 
     return HamiltonianModel(
         dim=dim,
-        evaluate=lambda tau: evaluate_batch(np.array([tau]))[0],
-        derivative=lambda tau: derivative_batch(np.array([tau]))[0],
         label=f"fourier({len(terms)} terms, dim={dim})",
         evaluate_batch=evaluate_batch,
         derivative_batch=derivative_batch,
@@ -684,8 +664,6 @@ def constant_model(h: np.ndarray, label: str = "constant") -> HamiltonianModel:
 
     return HamiltonianModel(
         dim=dim,
-        evaluate=lambda tau: h.copy(),
-        derivative=lambda tau: np.zeros_like(h),
         label=label,
         evaluate_batch=evaluate_batch,
         derivative_batch=derivative_batch,

@@ -328,7 +328,7 @@ def reparametrized_model(model: HamiltonianModel, rmap: ReparamMap) -> Hamiltoni
         return gp[:, None, None] * model.sample(tau)
 
     derivative_batch = None
-    if model.derivative is not None and rmap.f.deriv2 is not None:
+    if model.derivative_batch is not None and rmap.f.deriv2 is not None:
 
         def derivative_batch(tau_primes):
             tps = np.atleast_1d(np.asarray(tau_primes, dtype=float))
@@ -344,12 +344,6 @@ def reparametrized_model(model: HamiltonianModel, rmap: ReparamMap) -> Hamiltoni
 
     return HamiltonianModel(
         dim=model.dim,
-        evaluate=lambda tau: evaluate_batch(np.array([tau]))[0],
-        derivative=(
-            (lambda tau: derivative_batch(np.array([tau]))[0])
-            if derivative_batch is not None
-            else None
-        ),
         label=f"{model.label}|reparam",
         evaluate_batch=evaluate_batch,
         derivative_batch=derivative_batch,
@@ -456,10 +450,7 @@ def reparam_invariance_check(
 
     image = rmap.forward(grid.samples)
     new_model = reparametrized_model(model, rmap)
-    mode = gamma_mode
-    if mode == "auto" and new_model.analytic_frame is None:
-        mode = "analytic_derivative" if new_model.derivative is not None else "finite_difference"
-    new_frame = build_frame(new_model, TimeGrid(image), gamma_mode=mode)
+    new_frame = build_frame(new_model, TimeGrid(image), gamma_mode=gamma_mode)
     new_series = qgp(new_frame, m, n)
 
     both = series.valid & new_series.valid

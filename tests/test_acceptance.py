@@ -57,7 +57,7 @@ def fig1_run():
 
 
 def test_criterion_01_unitarity(fig1_run, regime_unfaithful):
-    """Norm drift stays within 1e-9 over >= 4096 unitary midpoint steps."""
+    """Norm drift stays within 1e-9 over >= 4096 unitary CF4 steps."""
     _, _, _, _, robust_result = fig1_run
     drifts = [robust_result.max_norm_drift]
     steps = [robust_result.total_steps]

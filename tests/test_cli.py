@@ -146,6 +146,34 @@ class TestSimulate:
         assert "tol" in capsys.readouterr().err
         assert not (tmp_path / "fig").exists()
 
+    @pytest.mark.parametrize("grid", ["1", "10"])
+    def test_bad_figure1_grid_exits_2(self, tmp_path, capsys, grid):
+        assert cli.main(["figure1", "--out", str(tmp_path / "fig"), "--grid", grid]) == 2
+        assert "--grid" in capsys.readouterr().err
+        assert not (tmp_path / "fig").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "conditions"])
+    @pytest.mark.parametrize("level", ["5", "-1"])
+    def test_level_out_of_range_exits_2(self, tmp_path, capsys, command, level):
+        params = RotatingSpinParams(eta=1.0, xi=0.5, K=2.0)
+        config = rotating_config(tmp_path, params)
+        config.write_text(config.read_text().replace("level = upper", f"level = {level}"))
+        assert cli.main([command, "--config", str(config)]) == 2
+        assert "field 'level' in [run]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field,value", [("tau_end", "inf"), ("tau_start", "nan"),
+                                             ("tau_start", "-inf")])
+    def test_non_finite_tau_exits_2(self, tmp_path, capsys, field, value):
+        params = RotatingSpinParams(eta=1.0, xi=0.5, K=2.0)
+        config = rotating_config(tmp_path, params)
+        text = config.read_text()
+        start = text.index(f"{field} = ")
+        end = text.index("\n", start)
+        config.write_text(text[:start] + f"{field} = {value}" + text[end:])
+        assert cli.main(["conditions", "--config", str(config)]) == 2
+        assert f"field '{field}' in [run]" in capsys.readouterr().err
+
     def test_invalid_model_params_exit_2(self, tmp_path, capsys):
         path = tmp_path / "nan.ini"
         path.write_text(f"[model]\nname = rotating_spin\neta = 1.0\nxi = 0.5\nk = nan\n"
@@ -309,6 +337,16 @@ class TestSweep:
         path.write_text(config_text)
         assert cli.main(["sweep", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("values", ["1.0,abc", "1.0,inf", "nan"])
+    def test_bad_values_exit_2(self, tmp_path, capsys, values):
+        config_text = ROTATING_CONFIG.format(
+            eta=1.0, xi=0.5, k=1.0, tau_end=1.0, samples=256, out=tmp_path / "out",
+        ) + f"\n[sweep]\nk = {values}\n"
+        path = tmp_path / "bad.ini"
+        path.write_text(config_text)
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        assert "field 'k' in [sweep]" in capsys.readouterr().err
+
     def test_budget_exceeded_exits_2(self, tmp_path):
         values = ",".join(str(v) for v in range(25))
         config_text = ROTATING_CONFIG.format(
@@ -317,3 +355,33 @@ class TestSweep:
         path = tmp_path / "big.ini"
         path.write_text(config_text)
         assert cli.main(["sweep", "--config", str(path)]) == 2
+
+
+class TestComputeOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"build_frame": 0, "evolve_schrodinger": 0}
+        for name in counts:
+            original = getattr(cli, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        return counts
+
+    def test_conditions_builds_each_stage_once(self, tmp_path, calls):
+        params = RotatingSpinParams(eta=1.0, xi=0.5, K=2.0)
+        config = rotating_config(tmp_path, params, samples=256)
+        assert cli.main(["conditions", "--config", str(config)]) == 0
+        assert calls == {"build_frame": 1, "evolve_schrodinger": 1}
+
+    def test_sweep_builds_each_stage_once_per_point(self, tmp_path, calls):
+        config_text = ROTATING_CONFIG.format(
+            eta=1.0, xi=0.5, k=1.0, tau_end=1.0, samples=256, out=tmp_path / "out",
+        ) + "\n[sweep]\nk = 0.5,1.0,2.0\n"
+        path = tmp_path / "sweep3.ini"
+        path.write_text(config_text)
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        assert calls == {"build_frame": 3, "evolve_schrodinger": 3}

@@ -115,7 +115,10 @@ class TestSchrodinger:
         # never agree and the minimum-step guard must fire
         stiff = models.HamiltonianModel(
             dim=2,
-            evaluate=lambda tau: np.cos(1e13 * tau) * SIGMA_Z + np.sin(1e13 * tau) * SIGMA_X,
+            evaluate_batch=lambda taus: (
+                np.cos(1e13 * taus)[:, None, None] * SIGMA_Z
+                + np.sin(1e13 * taus)[:, None, None] * SIGMA_X
+            ),
             label="stiff",
         )
         grid = TimeGrid(np.array([0.0, 2e-12]))

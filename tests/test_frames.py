@@ -118,8 +118,8 @@ class TestBuildFrame:
         # cos(0*tau - pi/2) = 0 constant; build a real crossing instead: tau*sigma_z
         ramp = models.HamiltonianModel(
             dim=2,
-            evaluate=lambda tau: tau * SIGMA_Z,
-            derivative=lambda tau: SIGMA_Z.copy(),
+            evaluate_batch=lambda taus: taus[:, None, None] * SIGMA_Z,
+            derivative_batch=lambda taus: np.ones_like(taus)[:, None, None] * SIGMA_Z,
             label="ramp",
         )
         with pytest.raises(GapClosureError):
@@ -134,7 +134,9 @@ class TestBuildFrame:
         rotated = fourier @ levels @ fourier.conj().T
         model = models.HamiltonianModel(
             dim=n,
-            evaluate=lambda tau: (1 - tau) * levels + tau * rotated,
+            evaluate_batch=lambda taus: (
+                (1 - taus)[:, None, None] * levels + taus[:, None, None] * rotated
+            ),
             label="basis swing",
         )
         with pytest.raises(TrackingAmbiguityError):

@@ -105,7 +105,7 @@ class TestRobustModel:
         p = RobustModelParams(eta=1.3, eta0=6.0, eta1=0.7, eta2=9.0)
         model = robust_model(p)
         taus = rng.uniform(0.0, 4.0, 12)
-        pointwise = np.stack([model.evaluate(float(t)) for t in taus])
+        pointwise = np.stack([models.robust_hamiltonian_nested(p, float(t)) for t in taus])
         np.testing.assert_allclose(pointwise, model.sample(taus), atol=1e-13)
 
     def test_negative_mixed_radicand_rejected(self):

@@ -145,7 +145,6 @@ def parse_config(path: str) -> ScenarioConfig:
     if "sweep" in parser:
         sweep = parser["sweep"]
         cfg.sweep = {key: _get(sweep, key, _float_list, where="sweep") for key in sweep}
-    _validate(cfg)
     return cfg
 
 
@@ -163,26 +162,36 @@ def _check_grid(samples: int, where: str) -> None:
         raise ConfigError(f"{where}: grid size {samples} < {MIN_GRID}")
 
 
-def _validate(cfg: ScenarioConfig) -> None:
-    _check_grid(cfg.samples, "field 'samples' in [run]")
+def _validate(cfg: ScenarioConfig, sources: dict[str, str]) -> None:
+    """Check the scalar fields; ``sources`` names the option that set a field.
+
+    Model parameters and ``level`` are checked when ``ScenarioRun`` builds
+    the model.
+    """
+
+    def where(key: str, section: str = "run") -> str:
+        return sources.get(key, f"field '{key}' in [{section}]")
+
+    _check_grid(cfg.samples, where("samples"))
     for key in ("tau_start", "tau_end"):
         if not np.isfinite(getattr(cfg, key)):
-            raise ConfigError(f"field '{key}' in [run]: must be finite, got {getattr(cfg, key)!r}")
+            raise ConfigError(f"{where(key)}: must be finite, got {getattr(cfg, key)!r}")
     if not cfg.tau_end > cfg.tau_start:
-        raise ConfigError("field 'tau_end' in [run]: must exceed tau_start")
-    _check_tol(cfg.tol, "field 'tol' in [run]")
+        raise ConfigError(f"{where('tau_end')}: must exceed tau_start")
+    _check_tol(cfg.tol, where("tol"))
     if not 0.0 < cfg.delta < 1.0:
-        raise ConfigError("field 'delta' in [conditions]: must lie in (0, 1)")
+        raise ConfigError(f"{where('delta', 'conditions')}: must lie in (0, 1)")
+    threshold = cfg.traditional_threshold
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise ConfigError(
+            f"{where('traditional_threshold', 'conditions')}: must be finite and positive, "
+            f"got {threshold!r}"
+        )
     if cfg.pairing not in ("conservative", "strict"):
-        raise ConfigError("field 'pairing' in [conditions]: conservative or strict")
+        raise ConfigError(f"{where('pairing', 'conditions')}: conservative or strict")
     for key, values in cfg.sweep.items():
         if not np.all(np.isfinite(values)):
-            raise ConfigError(f"field '{key}' in [sweep]: values must be finite, got {values!r}")
-    model, _ = build_model(cfg)  # surfaces model-parameter errors at parse time
-    if not 0 <= cfg.level < model.dim:
-        raise ConfigError(
-            f"field 'level' in [run]: {cfg.level} is not a level of a {model.dim}-level model"
-        )
+            raise ConfigError(f"{where(key, 'sweep')}: values must be finite, got {values!r}")
 
 
 def build_model(cfg: ScenarioConfig) -> tuple[HamiltonianModel, object]:
@@ -254,13 +263,19 @@ def build_model(cfg: ScenarioConfig) -> tuple[HamiltonianModel, object]:
 class ScenarioRun:
     """One scenario: model -> grid -> frame -> report / evolution -> fidelity.
 
-    The model is built on construction; every later stage at most once, on
-    first use.  The evolution starts in level ``cfg.level`` of the frame.
+    The model is built, and ``cfg.level`` checked against it, on
+    construction; every later stage at most once, on first use.  The
+    evolution starts in level ``cfg.level`` of the frame.
     """
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.model, self.params = build_model(cfg)
+        if not 0 <= cfg.level < self.model.dim:
+            raise ConfigError(
+                f"field 'level' in [run]: {cfg.level} is not a level of a "
+                f"{self.model.dim}-level model"
+            )
 
     @cached_property
     def grid(self) -> TimeGrid:
@@ -289,8 +304,8 @@ class ScenarioRun:
 
 
 def cmd_simulate(cfg: ScenarioConfig) -> int:
-    out = reporting.ensure_dir(cfg.out_dir)
     run = ScenarioRun(cfg)
+    out = reporting.ensure_dir(cfg.out_dir)
     grid, result, fid = run.grid, run.evolution, run.fidelity
 
     columns = [grid.samples]
@@ -317,8 +332,8 @@ def cmd_simulate(cfg: ScenarioConfig) -> int:
 
 
 def cmd_conditions(cfg: ScenarioConfig) -> int:
-    out = reporting.ensure_dir(cfg.out_dir)
     run = ScenarioRun(cfg)
+    out = reporting.ensure_dir(cfg.out_dir)
     report = run.report
 
     header = ["tau", "gap", "|gamma|", "delta_qgp", "traditional_ratio", "new_ratio"]
@@ -432,7 +447,6 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
     if total > 10_000:
         raise ConfigError(f"section [sweep]: {total} points exceed the 10000-point budget")
 
-    out = reporting.ensure_dir(cfg.out_dir)
     rows = []
     for values in itertools.product(*grids):
         point = dict(cfg.model_params)
@@ -453,6 +467,7 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
     header = names + [
         "traditional_ratio", "traditional_pass", "new_ratio", "new_pass", "min_fidelity",
     ]
+    out = reporting.ensure_dir(cfg.out_dir)
     reporting.write_csv(f"{out}/summary.csv", header, [table[:, i] for i in range(table.shape[1])])
     print(f"sweep: wrote {out}/summary.csv ({len(rows)} points)")
     return 0
@@ -478,17 +493,19 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.grid is not None:
-        cfg.samples = args.grid
-    if args.tol is not None:
-        cfg.tol = args.tol
-    if args.delta is not None:
-        cfg.delta = args.delta
-    _validate(cfg)
-    return cfg
+#: config field -> the option that overrides it
+_OVERRIDES = {"out_dir": "out", "samples": "grid", "tol": "tol", "delta": "delta"}
+
+
+def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> dict[str, str]:
+    """Set the fields given as options; map each to the option that set it."""
+    sources = {}
+    for key, option in _OVERRIDES.items():
+        value = getattr(args, option)
+        if value is not None:
+            setattr(cfg, key, value)
+            sources[key] = f"option --{option}"
+    return sources
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -498,7 +515,8 @@ def main(argv: list[str] | None = None) -> int:
             _check_grid(args.grid, "option --grid")
             _check_tol(args.tol, "option --tol")
             return cmd_figure1(args.out, samples=args.grid, tol=args.tol)
-        cfg = _apply_overrides(parse_config(args.config), args)
+        cfg = parse_config(args.config)
+        _validate(cfg, _apply_overrides(cfg, args))
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "conditions":

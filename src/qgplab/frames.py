@@ -5,6 +5,13 @@ maximum overlap, fixes each eigenvector's phase by discrete parallel
 transport (successive overlaps real and positive, anchored at tau = 0), and
 assembles the non-adiabatic coupling matrix gamma_nm = i<phi_n|phi_m_dot>.
 
+Tracking is batched.  Where every overlap of a column with the same column
+one sample earlier exceeds 1/sqrt(2), the eigh ordering is kept: it is then
+the unique maximum-overlap matching.  ``linear_sum_assignment`` runs only at
+the other steps, and the orderings it finds are composed there.  The
+transport phase of each level is the cumulative sum of its matched-overlap
+angles.  A matched overlap below 0.5 raises ``TrackingAmbiguityError``.
+
 gamma comes from one of three routes, recorded in ``gamma_mode``:
 
 * ``analytic_frame``      - the model supplies energies, vectors and gamma in
@@ -40,6 +47,9 @@ COUPLING_FLOOR = 1e-12
 
 DEFAULT_GRID_SAMPLES = 4096
 DEFAULT_GAP_FLOOR = 1e-8
+
+#: every diagonal overlap above this makes the identity the unique matching
+_IDENTITY_OVERLAP = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -143,6 +153,50 @@ def _pairwise_min_gap(energies: np.ndarray) -> float:
     return float(np.min(np.diff(sorted_e, axis=1)))
 
 
+def _diagonal_overlaps(vectors: np.ndarray) -> np.ndarray:
+    """<phi_n(k-1)|phi_n(k)> for every column n and step k, shape (K-1, N)."""
+    return np.einsum("kin,kin->kn", vectors[:-1].conj(), vectors[1:])
+
+
+def _track_levels(
+    energies: np.ndarray, vectors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Tracked energies, phase-fixed vectors and the smallest matched overlap.
+
+    When every diagonal overlap of a step exceeds 1/sqrt(2), each other
+    overlap in its row is at most sqrt(1 - |diag|^2) < |diag| (orthonormal
+    columns), so the identity is the unique maximum matching there.
+    """
+    overlaps = _diagonal_overlaps(vectors)
+    steps = np.flatnonzero(np.any(np.abs(overlaps) <= _IDENTITY_OVERLAP, axis=1))
+    if steps.size:
+        # order[k, n]: raw eigh column of tracked level n at sample k
+        order = np.empty(energies.shape, dtype=int)
+        current = np.arange(energies.shape[1])
+        start = 0
+        for k in steps:
+            weight = np.abs(vectors[k].conj().T @ vectors[k + 1])
+            rows, cols = linear_sum_assignment(-weight)
+            matched = weight[rows, cols]
+            if np.min(matched) < 0.5:
+                raise TrackingAmbiguityError(
+                    f"maximum overlap {np.min(matched):.3f} < 0.5 between samples "
+                    f"{k} and {k + 1}; grid too coarse"
+                )
+            order[start : k + 1] = current
+            current = cols[current]
+            start = k + 1
+        order[start:] = current
+        energies = np.take_along_axis(energies, order, axis=1)
+        vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
+        overlaps = _diagonal_overlaps(vectors)
+    phases = np.zeros(energies.shape)
+    np.cumsum(np.angle(overlaps), axis=0, out=phases[1:])
+    vectors = vectors * np.exp(-1j * phases)[:, None, :]
+    min_overlap = min(1.0, float(np.min(np.abs(overlaps))))
+    return energies, vectors, min_overlap
+
+
 def build_frame(
     model: HamiltonianModel,
     grid: TimeGrid,
@@ -176,33 +230,8 @@ def build_frame(
             delta_analytic=delta,
         )
 
-    hs = model.sample(taus)
-    energies, vectors = eigh_batch(hs)
-    energies = energies.copy()
-    vectors = vectors.copy()
-    dim = model.dim
-    k_samples = taus.size
-
-    min_overlap = 1.0
-    for k in range(1, k_samples):
-        overlap = vectors[k - 1].conj().T @ vectors[k]
-        weight = np.abs(overlap)
-        rows, cols = linear_sum_assignment(-weight)
-        perm = np.empty(dim, dtype=int)
-        perm[rows] = cols
-        matched = weight[rows, perm[rows]]
-        if np.min(matched) < 0.5:
-            raise TrackingAmbiguityError(
-                f"maximum overlap {np.min(matched):.3f} < 0.5 between samples "
-                f"{k - 1} and {k}; grid too coarse"
-            )
-        vectors[k] = vectors[k][:, perm]
-        energies[k] = energies[k][perm]
-        # parallel transport: make successive overlaps real and positive
-        diag = overlap[np.arange(dim), perm]
-        vectors[k] *= np.exp(-1j * np.angle(diag))[None, :]
-        min_overlap = min(min_overlap, float(np.min(np.abs(diag))))
-
+    energies, vectors = eigh_batch(model.sample(taus))
+    energies, vectors, min_overlap = _track_levels(energies, vectors)
     if min_overlap < 0.99:
         warnings.warn(
             f"level-tracking overlap dropped to {min_overlap:.4f} (< 0.99); "
@@ -216,18 +245,18 @@ def build_frame(
         raise GapClosureError(f"min gap {min_gap:.3e} below floor {gap_floor:.3e}")
 
     if mode == "analytic_derivative":
-        hdots = model.sample_derivative(taus)
-        cross = np.einsum("kin,kij,kjm->knm", vectors.conj(), hdots, vectors)
-        denom = energies[:, None, :] - energies[:, :, None]  # e_m - e_n at [k, n, m]
+        # i <phi_n|dh|phi_m> / (e_m - e_n), assembled in place
+        gamma = dagger(vectors) @ (model.sample_derivative(taus) @ vectors)
+        gamma *= 1j
         with np.errstate(divide="ignore", invalid="ignore"):
-            gamma = 1j * cross / denom
+            gamma /= energies[:, None, :] - energies[:, :, None]
         dvec = numerics.derivative_series(vectors, taus)
         diag = 1j * np.einsum("kin,kin->kn", vectors.conj(), dvec)
-        idx = np.arange(dim)
+        idx = np.arange(model.dim)
         gamma[:, idx, idx] = diag
     else:
         dvec = numerics.derivative_series(vectors, taus)
-        gamma = 1j * np.einsum("kin,kim->knm", vectors.conj(), dvec)
+        gamma = 1j * (dagger(vectors) @ dvec)
 
     return SpectralFrame(
         grid=grid,

@@ -13,20 +13,31 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+#: rows formatted per ``%`` operation in ``write_csv``
+_CSV_BLOCK_ROWS = 256
+
+
 def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write equal-length columns under the given header names."""
+    """Write equal-length columns under the given header names.
+
+    Each block of rows is one ``%`` operation on a ``%.17g`` row template,
+    which prints every cell exactly as ``format_float`` does.
+    """
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
         raise ValueError(f"column lengths differ: {sorted(lengths)}")
     rows = len(columns[0]) if columns else 0
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(format_float(c[i]) for c in columns) + "\n")
+        columns = [np.asarray(c, dtype=float) for c in columns]
+        row = ",".join(["%.17g"] * len(columns)) + "\n"
+        for start in range(0, rows, _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in columns])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def bloch_vector(states: np.ndarray) -> np.ndarray:

@@ -181,6 +181,36 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.1"])
+    def test_bad_traditional_threshold_exits_2(self, tmp_path, capsys, value):
+        path = tmp_path / "const.ini"
+        path.write_text(CONSTANT_CONFIG.format(out=tmp_path / "out")
+                        + f"\n[conditions]\ntraditional_threshold = {value}\n")
+        assert cli.main(["conditions", "--config", str(path)]) == 2
+        assert "field 'traditional_threshold' in [conditions]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--grid", "8", "option --grid: grid size 8 < 64"),
+        ("--tol", "nan", "option --tol: must be finite and positive"),
+        ("--delta", "2", "option --delta: must lie in (0, 1)"),
+    ])
+    def test_bad_override_names_the_option(self, tmp_path, capsys, option, value, message):
+        params = RotatingSpinParams(eta=1.0, xi=0.5, K=2.0)
+        config = rotating_config(tmp_path, params)
+        assert cli.main(["simulate", "--config", str(config), option, value]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "[run]" not in err and "[conditions]" not in err
+
+    def test_override_replaces_bad_config_value(self, tmp_path):
+        params = RotatingSpinParams(eta=1.0, xi=0.5, K=2.0)
+        config = rotating_config(tmp_path, params, samples=10)
+        assert cli.main(["conditions", "--config", str(config)]) == 2
+        assert cli.main(["conditions", "--config", str(config), "--grid", "4096"]) == 0
+        _, rows = read_csv(tmp_path / "out" / "conditions.csv")
+        assert rows.shape[0] == 4096
+
     def test_byte_identical_reruns(self, tmp_path):
         params = RotatingSpinParams(eta=1.0, xi=0.5, K=2.0)
         config = rotating_config(tmp_path, params, samples=512)
@@ -376,6 +406,21 @@ class TestComputeOnce:
         config = rotating_config(tmp_path, params, samples=256)
         assert cli.main(["conditions", "--config", str(config)]) == 0
         assert calls == {"build_frame": 1, "evolve_schrodinger": 1}
+
+    @pytest.mark.parametrize("command", ["simulate", "conditions"])
+    def test_model_is_built_once(self, tmp_path, monkeypatch, command):
+        builds = []
+        original = cli.build_model
+
+        def counted(cfg):
+            builds.append(cfg.model_name)
+            return original(cfg)
+
+        monkeypatch.setattr(cli, "build_model", counted)
+        params = RotatingSpinParams(eta=1.0, xi=0.5, K=2.0)
+        config = rotating_config(tmp_path, params, samples=256)
+        assert cli.main([command, "--config", str(config), "--grid", "128"]) == 0
+        assert builds == ["rotating_spin"]
 
     def test_sweep_builds_each_stage_once_per_point(self, tmp_path, calls):
         config_text = ROTATING_CONFIG.format(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment as scipy_linear_sum_assignment
 
 from qgplab import evolve, frames, models, qgp
 from qgplab.errors import (
@@ -18,7 +19,8 @@ from qgplab.frames import (
     theta_mn,
     theta_series,
 )
-from qgplab.linalg import SIGMA_Z
+from qgplab.linalg import SIGMA_Z, eigh_batch
+from conftest import random_hermitian
 from qgplab.models import (
     BlochCurveModel,
     RotatingSpinParams,
@@ -277,3 +279,166 @@ class TestRegauge:
         dvec = derivative_series(regauged.vectors, grid.samples)
         direct = 1j * np.einsum("kin,kim->knm", regauged.vectors.conj(), dvec)
         assert np.max(np.abs(direct - regauged.gamma)) < 1e-5
+
+
+def sequential_track(energies, vectors):
+    """Oracle: the per-sample tracking loop that ``build_frame`` batched.
+
+    One assignment per step on the overlaps of the already tracked and
+    phase-fixed vectors, then parallel transport of that one step.
+    """
+    energies = energies.copy()
+    vectors = vectors.copy()
+    dim = energies.shape[1]
+    min_overlap = 1.0
+    for k in range(1, energies.shape[0]):
+        overlap = vectors[k - 1].conj().T @ vectors[k]
+        weight = np.abs(overlap)
+        rows, cols = scipy_linear_sum_assignment(-weight)
+        perm = np.empty(dim, dtype=int)
+        perm[rows] = cols
+        matched = weight[rows, perm[rows]]
+        if np.min(matched) < 0.5:
+            raise TrackingAmbiguityError(
+                f"maximum overlap {np.min(matched):.3f} < 0.5 between samples "
+                f"{k - 1} and {k}; grid too coarse"
+            )
+        vectors[k] = vectors[k][:, perm]
+        energies[k] = energies[k][perm]
+        diag = overlap[np.arange(dim), perm]
+        vectors[k] *= np.exp(-1j * np.angle(diag))[None, :]
+        min_overlap = min(min_overlap, float(np.min(np.abs(diag))))
+    return energies, vectors, min_overlap
+
+
+def sequential_frame(model, grid):
+    """Oracle frame: sequential tracking, then the three-operand einsum for
+    the off-diagonal gamma of the analytic-derivative route."""
+    energies, vectors = eigh_batch(model.sample(grid.samples))
+    energies, vectors, min_overlap = sequential_track(energies, vectors)
+    hdots = model.sample_derivative(grid.samples)
+    cross = np.einsum("kin,kij,kjm->knm", vectors.conj(), hdots, vectors)
+    denom = energies[:, None, :] - energies[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = 1j * cross / denom
+    return energies, vectors, gamma, min_overlap
+
+
+def uncoupled_crossings(basis=np.eye(3)):
+    """basis diag(tau, -tau + 0.3, 0.5 tau - 0.2) basis^+: three crossings of
+    uncoupled levels, at tau = -0.4, 0.15 and 1/3, so eigh reorders its
+    columns."""
+    slopes = np.array([1.0, -1.0, 0.5])
+    offsets = np.array([0.0, 0.3, -0.2])
+    lines = lambda taus: taus[:, None] * slopes + offsets  # noqa: E731
+
+    def evaluate_batch(taus):
+        taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        return (basis * lines(taus)[:, None, :]) @ basis.conj().T
+
+    def derivative_batch(taus):
+        taus = np.atleast_1d(np.asarray(taus, dtype=float))
+        hdot = (basis * slopes) @ basis.conj().T
+        return np.broadcast_to(hdot, (taus.size, 3, 3)).copy()
+
+    model = models.HamiltonianModel(
+        dim=3, evaluate_batch=evaluate_batch, derivative_batch=derivative_batch,
+        label="uncoupled crossings",
+    )
+    return model, lines
+
+
+def random_fourier(seed, dim=4):
+    rng = np.random.default_rng(seed)
+    terms = [models.FourierTerm(np.diag(3.0 * np.arange(dim)).astype(complex), 0.0, 1.0)]
+    for omega in (1.0, 2.3):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        terms.append(models.FourierTerm(0.5 * (g + g.conj().T), omega, 0.4, rng.uniform(0, 6)))
+    return models.fourier_nlevel(dim, terms)
+
+
+@pytest.fixture
+def assign_calls(monkeypatch):
+    calls = []
+
+    def counted(weight):
+        calls.append(weight)
+        return scipy_linear_sum_assignment(weight)
+
+    monkeypatch.setattr(frames, "linear_sum_assignment", counted)
+    return calls
+
+
+class TestLevelTracking:
+    def test_uncoupled_crossings_follow_the_lines(self, assign_calls):
+        model, lines = uncoupled_crossings()
+        grid = TimeGrid.uniform(-1.0, 1.0, 800)
+        crossings = np.array([-0.4, 0.15, 1.0 / 3.0])
+        assert np.min(np.abs(grid.samples[:, None] - crossings)) > 1e-4
+        frame = build_frame(model, grid, gamma_mode="analytic_derivative")
+        expected = lines(grid.samples)
+        expected = expected[:, np.argsort(expected[0])]
+        np.testing.assert_allclose(frame.energies, expected, rtol=0.0, atol=1e-12)
+        # one assignment per reordering, none elsewhere
+        assert len(assign_calls) == 3
+        # the vectors do not move: continuous through every crossing
+        assert np.max(np.abs(frame.vectors - frame.vectors[0])) < 1e-12
+        assert frame.min_overlap == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(frame.gamma)) < 1e-10
+
+    # Bounds are >= 10x the measured differences to the sequential oracle:
+    # vectors 1.6e-14 / 9.2e-15, off-diagonal gamma 5.6e-15 / 2.3e-13.
+    @pytest.mark.parametrize(
+        "case,vector_bound,gamma_bound",
+        [("fourier4", 2e-13, 1e-13), ("crossings", 1e-13, 3e-12)],
+    )
+    def test_matches_sequential_loop(self, case, vector_bound, gamma_bound):
+        if case == "fourier4":
+            model = random_fourier(7)
+            grid = TimeGrid.uniform(0.0, 2.0 * np.pi, 4096)
+        else:
+            q, _ = np.linalg.qr(random_hermitian(np.random.default_rng(11), 3))
+            model, _ = uncoupled_crossings(basis=q)
+            grid = TimeGrid.uniform(-1.0, 1.0, 800)
+        energies, vectors, gamma, min_overlap = sequential_frame(model, grid)
+        frame = build_frame(model, grid, gamma_mode="analytic_derivative")
+        np.testing.assert_array_equal(frame.energies, energies)
+        assert np.max(np.abs(frame.vectors - vectors)) < vector_bound
+        off = ~np.eye(model.dim, dtype=bool)
+        assert np.max(np.abs(frame.gamma[:, off] - gamma[:, off])) < gamma_bound
+        assert frame.min_overlap == pytest.approx(min_overlap, rel=3e-15)
+
+    def test_well_separated_model_never_assigns(self, assign_calls):
+        frame = build_frame(random_fourier(3), TimeGrid.uniform(0.0, 2.0 * np.pi, 4096))
+        assert frame.min_overlap > 0.99
+        assert assign_calls == []
+
+    def test_ambiguity_names_the_first_failing_pair(self):
+        # the basis swings from computational to Fourier between samples 2 and 3
+        n = 5
+        levels = np.diag(np.arange(1.0, n + 1)).astype(complex)
+        fourier = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
+        rotated = fourier @ levels @ fourier.conj().T
+        model = models.HamiltonianModel(
+            dim=n,
+            evaluate_batch=lambda taus: np.where(
+                (taus > 0.6)[:, None, None], rotated, levels
+            ) * (1.0 + taus)[:, None, None],
+            label="late basis swing",
+        )
+        grid = TimeGrid.uniform(0.0, 1.0, 5)
+        with pytest.raises(TrackingAmbiguityError) as expected:
+            sequential_track(*eigh_batch(model.sample(grid.samples)))
+        with pytest.raises(TrackingAmbiguityError) as raised:
+            build_frame(model, grid, gamma_mode="finite_difference")
+        assert str(raised.value) == str(expected.value)
+        assert "between samples 2 and 3" in str(raised.value)
+
+    def test_low_overlap_warns(self):
+        fast = rotating_spin(RotatingSpinParams(eta=1.0, xi=0.4, K=40.0))
+        grid = TimeGrid.uniform(0.0, 2.0, 65)
+        with pytest.warns(RuntimeWarning, match="level-tracking overlap"):
+            frame = build_frame(fast, grid, gamma_mode="analytic_derivative")
+        _, _, min_overlap = sequential_track(*eigh_batch(fast.sample(grid.samples)))
+        assert frame.min_overlap < 0.99
+        assert frame.min_overlap == pytest.approx(min_overlap, rel=3e-15)

@@ -8,7 +8,8 @@ figure1     reproduce the robust-model reference figure (Bloch curves, P)
 sweep       grid-sweep up to three model parameters and tabulate verdicts
 
 Configs are INI-style key = value sections ([model], [run], [conditions],
-[output]).  Exit codes: 0 success, 2 config/usage error, 3 numerical error.
+[output]).  Exit codes: 0 success, 2 config/usage error or unusable output
+path, 3 numerical error.
 
 ``simulate``, ``conditions`` and each point of ``sweep`` are projections of
 one ``ScenarioRun``, which computes each stage of the chain at most once.
@@ -49,6 +50,9 @@ MIN_GRID = 64
 
 _PAULI = {"sigma_x": SIGMA_X, "sigma_y": SIGMA_Y, "sigma_z": SIGMA_Z}
 
+#: the names [output] outputs accepts
+OUTPUTS = ("trajectory", "fidelity", "conditions")
+
 
 @dataclass
 class ScenarioConfig:
@@ -63,7 +67,7 @@ class ScenarioConfig:
     traditional_threshold: float = 0.1
     pairing: str = "conservative"
     out_dir: str = "out"
-    outputs: tuple = ("trajectory", "fidelity", "conditions")
+    outputs: tuple = OUTPUTS
     sweep: dict = field(default_factory=dict)
 
 
@@ -111,39 +115,50 @@ def _parse_scalar_descriptor(section, prefix: str, where: str) -> SmoothScalar:
 
 def parse_config(path: str) -> ScenarioConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        # values are interpolated on access, so read them all here
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    if "model" not in parser:
+    if "model" not in sections:
         raise ConfigError("missing section [model]")
-    model_section = parser["model"]
+    model_section = sections["model"]
     name = _get(model_section, "name", str, where="model").strip().lower()
     params = {k: v for k, v in model_section.items() if k != "name"}
 
     cfg = ScenarioConfig(model_name=name, model_params=params)
-    if "run" in parser:
-        run = parser["run"]
+    if "run" in sections:
+        run = sections["run"]
         cfg.tau_start = _get(run, "tau_start", float, required=False, default=cfg.tau_start, where="run")
         cfg.tau_end = _get(run, "tau_end", float, required=False, default=cfg.tau_end, where="run")
         cfg.samples = _get(run, "samples", int, required=False, default=cfg.samples, where="run")
         cfg.level = _get(run, "level", _parse_level, required=False, default=cfg.level, where="run")
         cfg.tol = _get(run, "tol", float, required=False, default=cfg.tol, where="run")
-    if "conditions" in parser:
-        cond = parser["conditions"]
+    if "conditions" in sections:
+        cond = sections["conditions"]
         cfg.delta = _get(cond, "delta", float, required=False, default=cfg.delta, where="conditions")
         cfg.traditional_threshold = _get(
             cond, "traditional_threshold", float, required=False,
             default=cfg.traditional_threshold, where="conditions",
         )
         cfg.pairing = _get(cond, "pairing", str, required=False, default=cfg.pairing, where="conditions")
-    if "output" in parser:
-        out = parser["output"]
+    if "output" in sections:
+        out = sections["output"]
         cfg.out_dir = _get(out, "dir", str, required=False, default=cfg.out_dir, where="output")
         raw = _get(out, "outputs", str, required=False, default=None, where="output")
         if raw is not None:
             cfg.outputs = tuple(p.strip() for p in raw.split(",") if p.strip())
-    if "sweep" in parser:
-        sweep = parser["sweep"]
+            unknown = [p for p in cfg.outputs if p not in OUTPUTS]
+            if unknown:
+                raise ConfigError(
+                    f"field 'outputs' in [output]: unknown {', '.join(map(repr, unknown))}"
+                    f" (choose from {', '.join(OUTPUTS)})"
+                )
+    if "sweep" in sections:
+        sweep = sections["sweep"]
         cfg.sweep = {key: _get(sweep, key, _float_list, where="sweep") for key in sweep}
     return cfg
 
@@ -530,6 +545,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

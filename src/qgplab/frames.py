@@ -11,6 +11,8 @@ the unique maximum-overlap matching.  ``linear_sum_assignment`` runs only at
 the other steps, and the orderings it finds are composed there.  The
 transport phase of each level is the cumulative sum of its matched-overlap
 angles.  A matched overlap below 0.5 raises ``TrackingAmbiguityError``.
+scipy's solver is imported at the first such step, so a run whose tracking
+keeps the eigh ordering never loads ``scipy.optimize``.
 
 gamma comes from one of three routes, recorded in ``gamma_mode``:
 
@@ -28,7 +30,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import numerics
 from .errors import (
@@ -151,6 +152,13 @@ def _resolve_gamma_mode(model: HamiltonianModel, gamma_mode: str) -> str:
 def _pairwise_min_gap(energies: np.ndarray) -> float:
     sorted_e = np.sort(energies, axis=1)
     return float(np.min(np.diff(sorted_e, axis=1)))
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.optimize.linear_sum_assignment``, imported on the first call."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 def _diagonal_overlaps(vectors: np.ndarray) -> np.ndarray:

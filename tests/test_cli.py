@@ -430,3 +430,71 @@ class TestComputeOnce:
         path.write_text(config_text)
         assert cli.main(["sweep", "--config", str(path)]) == 0
         assert calls == {"build_frame": 3, "evolve_schrodinger": 3}
+
+
+class TestInputEdges:
+    @pytest.mark.parametrize("damage,message", [
+        (lambda text: "garbage line\n" + text, "contains no section headers"),
+        (lambda text: text + "\n[model]\nname = fourier\n", "section 'model' already exists"),
+        (lambda text: text.replace("dim = 2\n", "dim = 2\ndim = 2\n"),
+         "option 'dim' in section 'model' already exists"),
+        (lambda text: text.replace("samples = 256", "samples = 256%"), "'%' must be followed"),
+    ], ids=["no-section-header", "duplicate-section", "duplicate-key", "bad-interpolation"])
+    def test_malformed_ini_exits_2(self, tmp_path, capsys, damage, message):
+        path = tmp_path / "malformed.ini"
+        path.write_text(damage(CONSTANT_CONFIG.format(out=tmp_path / "out")))
+        assert cli.main(["conditions", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: malformed config file {str(path)!r}" in err
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_undecodable_ini_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.ini"
+        path.write_bytes(b"\xff\xfe" + CONSTANT_CONFIG.format(out=tmp_path / "out").encode())
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert "malformed config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,outputs,unknown", [
+        ("simulate", "bogus", "'bogus'"),
+        ("conditions", "conditions,fidelty", "'fidelty'"),
+    ])
+    def test_unknown_outputs_exit_2(self, tmp_path, capsys, command, outputs, unknown):
+        path = tmp_path / "outputs.ini"
+        path.write_text(CONSTANT_CONFIG.format(out=tmp_path / "out")
+                        + f"outputs = {outputs}\n")
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"field 'outputs' in [output]: unknown {unknown}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.fixture
+    def regular_file(self, tmp_path):
+        path = tmp_path / "F"
+        path.write_text("keep me\n")
+        return path
+
+    def assert_output_error(self, capsys, path):
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ")
+        assert str(path) in err
+        assert "config error" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "conditions", "sweep", "figure1"])
+    def test_out_below_a_regular_file_exits_2(self, tmp_path, capsys, regular_file, command):
+        config = tmp_path / "const.ini"
+        config.write_text(CONSTANT_CONFIG.format(out=tmp_path / "unused")
+                          + "\n[sweep]\na = 1.0\n")
+        target = regular_file / "sub"
+        args = ["--out", str(target)] + (["--grid", "64"] if command == "figure1" else
+                                         ["--config", str(config)])
+        assert cli.main([command, *args]) == 2
+        self.assert_output_error(capsys, target)
+        assert regular_file.read_text() == "keep me\n"
+
+    def test_out_on_a_regular_file_exits_2(self, tmp_path, capsys, regular_file):
+        config = tmp_path / "const.ini"
+        config.write_text(CONSTANT_CONFIG.format(out=tmp_path / "unused"))
+        assert cli.main(["conditions", "--config", str(config), "--out", str(regular_file)]) == 2
+        self.assert_output_error(capsys, regular_file)
+        assert regular_file.read_text() == "keep me\n"

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qgplab import evolve
+from qgplab import evolve, qgp
 from qgplab.conditions import (
     PiMatrix,
     TheoremInputs,
@@ -22,9 +22,17 @@ from qgplab.errors import (
     MatchingAmbiguityError,
     NotAntisymmetricError,
 )
-from qgplab.frames import TimeGrid, build_frame
+from conftest import random_hermitian
+from qgplab.frames import TimeGrid, build_frame, regauge
 from qgplab.linalg import SIGMA_Z
-from qgplab.models import RotatingSpinParams, constant_model, rotating_spin
+from qgplab.models import (
+    FourierTerm,
+    RotatingSpinParams,
+    SmoothScalar,
+    constant_model,
+    fourier_nlevel,
+    rotating_spin,
+)
 
 
 def rotating_frame(params, n=2049, horizon=None):
@@ -82,6 +90,50 @@ class TestFrameCriteria:
         frame = rotating_frame(RotatingSpinParams(eta=1.0, xi=0.5, K=1.0))
         with pytest.raises(InvalidParamsError):
             condition_report(frame, 1, delta_threshold=1.5)
+
+
+def separated_fourier(rng, dim):
+    """Levels 4 apart, shaken by two random Hermitian Fourier terms."""
+    terms = [FourierTerm(np.diag(4.0 * np.arange(dim)).astype(complex), 0.0, 1.0)]
+    for omega in (1.0, 2.3):
+        terms.append(FourierTerm(random_hermitian(rng, dim), omega, 0.3, rng.uniform(0, 6)))
+    return fourier_nlevel(dim, terms)
+
+
+class TestGaugeInvariance:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 10**6), dim=st.sampled_from([3, 4]))
+    def test_regauge_leaves_the_report_unchanged(self, seed, dim):
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid.uniform(0.0, 2.0 * np.pi, 1024)
+        frame = build_frame(separated_fourier(rng, dim), grid, gamma_mode="analytic_derivative")
+        # f_n(0) = 0 and degree 4, which the 4th-order stencil differentiates exactly
+        scale = (2.0 * np.pi) ** -np.arange(4.0)
+        fs = [SmoothScalar.poly(np.r_[0.0, rng.uniform(-2.0, 2.0, 4) * scale])
+              for _ in range(dim)]
+        moved = regauge(frame, fs)
+        m = int(rng.integers(dim))
+        # a flagged unwrap step leaves arg gamma, hence Delta, unresolved by the grid
+        assume(all(qgp.qgp(frame, m, n).unwrap_flags == 0 for n in range(dim) if n != m))
+        kwargs = dict(delta_threshold=rng.uniform(0.05, 0.95),
+                      traditional_threshold=10.0 ** rng.uniform(-2.0, 1.0))
+        pairings = ("conservative", "strict")
+        before = [condition_report(frame, m, pairing=p, **kwargs) for p in pairings]
+        after = [condition_report(moved, m, pairing=p, **kwargs) for p in pairings]
+        for report in before:
+            assume(abs(report.max_traditional - report.traditional_threshold) > 1e-6)
+            assume(abs(report.max_new - report.new_threshold) > 1e-6)
+        for old, new in zip(before, after):
+            for key in ("max_traditional", "max_new_strict", "max_new_conservative"):
+                assert getattr(new, key) == pytest.approx(getattr(old, key), rel=1e-8)
+            for old_pair, new_pair in zip(old.pairs, new.pairs, strict=True):
+                assert new_pair.pair == old_pair.pair
+                np.testing.assert_allclose(new_pair.delta, old_pair.delta, rtol=0, atol=1e-8)
+                np.testing.assert_allclose(
+                    new_pair.gamma_abs, old_pair.gamma_abs, rtol=0, atol=1e-8
+                )
+            assert new.traditional_pass == old.traditional_pass
+            assert new.new_pass == old.new_pass
 
 
 class TestRrcp:

@@ -20,7 +20,7 @@ from qgplab.frames import (
     theta_series,
 )
 from qgplab.linalg import SIGMA_Z, eigh_batch
-from conftest import random_hermitian
+from conftest import random_hermitian, uncoupled_crossings
 from qgplab.models import (
     BlochCurveModel,
     RotatingSpinParams,
@@ -322,30 +322,6 @@ def sequential_frame(model, grid):
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma = 1j * cross / denom
     return energies, vectors, gamma, min_overlap
-
-
-def uncoupled_crossings(basis=np.eye(3)):
-    """basis diag(tau, -tau + 0.3, 0.5 tau - 0.2) basis^+: three crossings of
-    uncoupled levels, at tau = -0.4, 0.15 and 1/3, so eigh reorders its
-    columns."""
-    slopes = np.array([1.0, -1.0, 0.5])
-    offsets = np.array([0.0, 0.3, -0.2])
-    lines = lambda taus: taus[:, None] * slopes + offsets  # noqa: E731
-
-    def evaluate_batch(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        return (basis * lines(taus)[:, None, :]) @ basis.conj().T
-
-    def derivative_batch(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        hdot = (basis * slopes) @ basis.conj().T
-        return np.broadcast_to(hdot, (taus.size, 3, 3)).copy()
-
-    model = models.HamiltonianModel(
-        dim=3, evaluate_batch=evaluate_batch, derivative_batch=derivative_batch,
-        label="uncoupled crossings",
-    )
-    return model, lines
 
 
 def random_fourier(seed, dim=4):

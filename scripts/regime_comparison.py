@@ -8,16 +8,13 @@ criterion correctly fails.
 Regime B (K >> 1, K >> eta): the gap-only criterion fails, yet the evolution
 is adiabatic (fidelity ~ 1); the QGP-corrected criterion correctly passes.
 
-Usage: python3 scripts/regime_comparison.py [outdir]
+Usage: python3 scripts/regime_comparison.py
 """
-import sys
-
 import numpy as np
 
-from qgplab import evolve, metrics
-from qgplab.conditions import condition_report
-from qgplab.frames import TimeGrid, adiabatic_trajectory, build_frame
-from qgplab.models import RotatingSpinParams, rotating_spin
+from qgplab import metrics
+from qgplab.cli import ScenarioConfig, ScenarioRun
+from qgplab.models import RotatingSpinParams
 
 REGIMES = {
     "A_gap_test_blind": RotatingSpinParams(eta=0.995, xi=0.0999, K=1.0),
@@ -26,15 +23,15 @@ REGIMES = {
 
 
 def run(label: str, params: RotatingSpinParams) -> None:
-    model = rotating_spin(params)
-    horizon = 2.0 * metrics.rotating_fidelity_period(params)
-    grid = TimeGrid.uniform(0.0, horizon, 4097)
-    frame = build_frame(model, grid, gamma_mode="analytic_frame")
-    psi0 = frame.vectors[0, :, 1].copy()
-    result = evolve.evolve_schrodinger(model, psi0, grid, tol=1e-9)
-    fid = metrics.fidelity(result, adiabatic_trajectory(frame, 1))
-    report = condition_report(frame, 1, delta_threshold=0.1)
-    closed = metrics.closed_form_F(params, grid.samples)
+    # two periods of the closed-form fidelity, upper level, tol 1e-9, delta 0.1
+    scenario = ScenarioRun(ScenarioConfig(
+        model_name="rotating_spin",
+        model_params={"eta": repr(params.eta), "xi": repr(params.xi), "k": repr(params.K)},
+        tau_end=2.0 * metrics.rotating_fidelity_period(params),
+        samples=4097,
+    ))
+    report, fid = scenario.report, scenario.fidelity
+    closed = metrics.closed_form_F(params, scenario.grid.samples)
 
     print(f"--- regime {label}: eta={params.eta} xi={params.xi} K={params.K} ---")
     print(f"  traditional ratio {report.max_traditional:10.4f} -> "

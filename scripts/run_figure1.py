@@ -9,8 +9,8 @@ Usage: python3 scripts/run_figure1.py [outdir]
 """
 import sys
 
-from qgplab.cli import cmd_figure1
+from qgplab.cli import main
 
 if __name__ == "__main__":
     out = sys.argv[1] if len(sys.argv) > 1 else "out/figure1"
-    sys.exit(cmd_figure1(out, samples=4096, tol=1e-6))
+    sys.exit(main(["figure1", "--out", out]))

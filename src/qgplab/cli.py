@@ -11,8 +11,9 @@ Configs are INI-style key = value sections ([model], [run], [conditions],
 [output]).  Exit codes: 0 success, 2 config/usage error or unusable output
 path, 3 numerical error.
 
-``simulate``, ``conditions`` and each point of ``sweep`` are projections of
-one ``ScenarioRun``, which computes each stage of the chain at most once.
+Every subcommand, and each point of ``sweep``, is a projection of one
+``ScenarioRun``, which computes each stage of the chain at most once;
+``figure1`` runs the fixed ``FIGURE1`` scenario.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .models import (
     SmoothScalar,
     bloch_curve,
     fourier_nlevel,
-    robust_adiabatic_projector,
     robust_model,
     rotating_spin,
 )
@@ -167,16 +167,6 @@ def _float_list(raw: str) -> list[float]:
     return [float(v) for v in raw.split(",") if v.strip() != ""]
 
 
-def _check_tol(tol: float, where: str) -> None:
-    if not (np.isfinite(tol) and tol > 0):
-        raise ConfigError(f"{where}: must be finite and positive, got {tol!r}")
-
-
-def _check_grid(samples: int, where: str) -> None:
-    if samples < MIN_GRID:
-        raise ConfigError(f"{where}: grid size {samples} < {MIN_GRID}")
-
-
 def _validate(cfg: ScenarioConfig, sources: dict[str, str]) -> None:
     """Check the scalar fields; ``sources`` names the option that set a field.
 
@@ -187,13 +177,15 @@ def _validate(cfg: ScenarioConfig, sources: dict[str, str]) -> None:
     def where(key: str, section: str = "run") -> str:
         return sources.get(key, f"field '{key}' in [{section}]")
 
-    _check_grid(cfg.samples, where("samples"))
+    if cfg.samples < MIN_GRID:
+        raise ConfigError(f"{where('samples')}: grid size {cfg.samples} < {MIN_GRID}")
     for key in ("tau_start", "tau_end"):
         if not np.isfinite(getattr(cfg, key)):
             raise ConfigError(f"{where(key)}: must be finite, got {getattr(cfg, key)!r}")
     if not cfg.tau_end > cfg.tau_start:
         raise ConfigError(f"{where('tau_end')}: must exceed tau_start")
-    _check_tol(cfg.tol, where("tol"))
+    if not (np.isfinite(cfg.tol) and cfg.tol > 0):
+        raise ConfigError(f"{where('tol')}: must be finite and positive, got {cfg.tol!r}")
     if not 0.0 < cfg.delta < 1.0:
         raise ConfigError(f"{where('delta', 'conditions')}: must lie in (0, 1)")
     threshold = cfg.traditional_threshold
@@ -319,30 +311,35 @@ class ScenarioRun:
 
 
 def cmd_simulate(cfg: ScenarioConfig) -> int:
+    written = [name for name in ("trajectory", "fidelity") if name in cfg.outputs]
+    if not written:
+        raise ConfigError("field 'outputs' in [output]: simulate writes trajectory or fidelity")
     run = ScenarioRun(cfg)
     out = reporting.ensure_dir(cfg.out_dir)
     grid, result, fid = run.grid, run.evolution, run.fidelity
 
-    columns = [grid.samples]
-    header = ["tau"]
-    for n in range(run.model.dim):
-        header += [f"re_a{n}", f"im_a{n}"]
-        columns += [result.states[:, n].real, result.states[:, n].imag]
-    header.append("norm")
-    columns.append(result.norms)
-    reporting.write_csv(f"{out}/trajectory.csv", header, columns)
+    if "trajectory" in written:
+        columns = [grid.samples]
+        header = ["tau"]
+        for n in range(run.model.dim):
+            header += [f"re_a{n}", f"im_a{n}"]
+            columns += [result.states[:, n].real, result.states[:, n].imag]
+        header.append("norm")
+        columns.append(result.norms)
+        reporting.write_csv(f"{out}/trajectory.csv", header, columns)
 
-    fid_header = ["tau", "F_simulated"]
-    fid_columns = [grid.samples, fid.values]
-    if isinstance(run.params, RotatingSpinParams):
-        # the closed form counts time from the start of the evolution
-        fid_header.append("F_closed_form")
-        fid_columns.append(
-            np.asarray(metrics.closed_form_F(run.params, grid.samples - cfg.tau_start))
-        )
-    reporting.write_csv(f"{out}/fidelity.csv", fid_header, fid_columns)
-    print(f"simulate: wrote {out}/trajectory.csv and {out}/fidelity.csv "
-          f"(min F = {reporting.format_float(np.min(fid.values))})")
+    if "fidelity" in written:
+        fid_header = ["tau", "F_simulated"]
+        fid_columns = [grid.samples, fid.values]
+        if isinstance(run.params, RotatingSpinParams):
+            # the closed form counts time from the start of the evolution
+            fid_header.append("F_closed_form")
+            fid_columns.append(
+                np.asarray(metrics.closed_form_F(run.params, grid.samples - cfg.tau_start))
+            )
+        reporting.write_csv(f"{out}/fidelity.csv", fid_header, fid_columns)
+    files = " and ".join(f"{out}/{name}.csv" for name in written)
+    print(f"simulate: wrote {files} (min F = {reporting.format_float(np.min(fid.values))})")
     return 0
 
 
@@ -399,34 +396,36 @@ def cmd_conditions(cfg: ScenarioConfig) -> int:
     return 0
 
 
-def cmd_figure1(out_dir: str, samples: int = 4096, tol: float = 1e-6) -> int:
-    out = reporting.ensure_dir(out_dir)
-    params = RobustModelParams(eta=1.0, eta0=20.0, eta1=1.0, eta2=100.0)
-    model = robust_model(params)
-    grid = TimeGrid.uniform(0.0, 2.0 * np.pi, samples)
-    frame = build_frame(model, grid, gamma_mode="analytic_derivative")
+#: the robust-model reference figure: a strong static field (eta0) and a
+#: fast drive (eta2) on tau in [0, 2 pi], starting in the upper level
+FIGURE1 = ScenarioConfig(
+    model_name="robust",
+    model_params={"eta": "1.0", "eta0": "20.0", "eta1": "1.0", "eta2": "100.0"},
+    tol=1e-6,
+)
 
-    rho0 = robust_adiabatic_projector(params, 0.0, +1)
-    vals, vecs = np.linalg.eigh(rho0)
-    psi0 = vecs[:, np.argmax(vals)]
-    result = evolve_schrodinger(model, psi0, grid, tol=tol)
+
+def cmd_figure1(cfg: ScenarioConfig) -> int:
+    run = ScenarioRun(cfg)
+    out = reporting.ensure_dir(cfg.out_dir)
+    grid, frame, result = run.grid, run.frame, run.evolution
 
     evo = reporting.bloch_vector(result.states)
-    adia = reporting.bloch_vector(frame.vectors[:, :, 1].copy())
+    adia = reporting.bloch_vector(frame.vectors[:, :, cfg.level].copy())
     reporting.write_csv(
         f"{out}/bloch.csv",
         ["tau", "evo_x", "evo_y", "evo_z", "adia_x", "adia_y", "adia_z"],
         [grid.samples, evo[:, 0], evo[:, 1], evo[:, 2], adia[:, 0], adia[:, 1], adia[:, 2]],
     )
 
-    occ = metrics.occupation(result, frame, 1)
-    p_closed = np.asarray(metrics.closed_form_P(params, grid.samples))
+    occ = metrics.occupation(result, frame, cfg.level)
+    p_closed = np.asarray(metrics.closed_form_P(run.params, grid.samples))
     reporting.write_csv(
         f"{out}/P.csv", ["tau", "P_simulated", "P_closed_form"],
         [grid.samples, occ.values, p_closed],
     )
 
-    floor = metrics.p_min(params)
+    floor = metrics.p_min(run.params)
     min_p = float(np.min(occ.values))
     if min_p < floor - 1e-6:
         raise NumericalError(
@@ -488,23 +487,31 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
     return 0
 
 
+COMMANDS = {
+    "simulate": cmd_simulate,
+    "conditions": cmd_conditions,
+    "figure1": cmd_figure1,
+    "sweep": cmd_sweep,
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgplab",
         description="Adiabatic-condition laboratory: simulate, diagnose, sweep.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "conditions", "sweep"):
+    for name in COMMANDS:
+        # figure1 runs the fixed FIGURE1 scenario: no config, no criterion
+        configured = name != "figure1"
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="scenario config path")
+        if configured:
+            p.add_argument("--config", required=True, help="scenario config path")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--grid", type=int, default=None, help="grid sample override")
         p.add_argument("--tol", type=float, default=None, help="integrator tolerance override")
-        p.add_argument("--delta", type=float, default=None, help="criterion delta override")
-    fig = sub.add_parser("figure1")
-    fig.add_argument("--out", default="out", help="output directory")
-    fig.add_argument("--grid", type=int, default=4096)
-    fig.add_argument("--tol", type=float, default=1e-6)
+        if configured:
+            p.add_argument("--delta", type=float, default=None, help="criterion delta override")
     return parser
 
 
@@ -516,7 +523,7 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> dict[str,
     """Set the fields given as options; map each to the option that set it."""
     sources = {}
     for key, option in _OVERRIDES.items():
-        value = getattr(args, option)
+        value = getattr(args, option, None)
         if value is not None:
             setattr(cfg, key, value)
             sources[key] = f"option --{option}"
@@ -526,19 +533,9 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> dict[str,
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        if args.command == "figure1":
-            _check_grid(args.grid, "option --grid")
-            _check_tol(args.tol, "option --tol")
-            return cmd_figure1(args.out, samples=args.grid, tol=args.tol)
-        cfg = parse_config(args.config)
+        cfg = replace(FIGURE1) if args.command == "figure1" else parse_config(args.config)
         _validate(cfg, _apply_overrides(cfg, args))
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "conditions":
-            return cmd_conditions(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](cfg)
     except (ConfigError, InvalidParamsError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -53,7 +53,6 @@ class PairConditionSeries:
     traditional_ratio: np.ndarray
     new_ratio_strict: np.ndarray
     new_ratio_conservative: np.ndarray
-    valid: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +129,6 @@ def condition_report(
                     traditional_ratio=zeros,
                     new_ratio_strict=zeros,
                     new_ratio_conservative=zeros.copy(),
-                    valid=np.zeros(gap.size, dtype=bool),
                 )
             )
             continue
@@ -149,7 +147,6 @@ def condition_report(
                 traditional_ratio=trad,
                 new_ratio_strict=strict,
                 new_ratio_conservative=conservative,
-                valid=series.valid,
             )
         )
 
@@ -184,22 +181,6 @@ def condition_report(
         traditional_pass=bool(max_trad <= traditional_threshold),
         new_pass=bool(max_new <= new_threshold),
     )
-
-
-def traditional_condition(
-    frame: SpectralFrame, m: int, threshold: float = 0.1
-) -> tuple[float, float, bool]:
-    """(max ratio, tau where attained, pass) for the gap-only criterion."""
-    report = condition_report(frame, m, traditional_threshold=threshold)
-    return report.max_traditional, report.tau_at_max_traditional, report.traditional_pass
-
-
-def new_condition(
-    frame: SpectralFrame, m: int, delta: float, pairing: str = "conservative"
-) -> tuple[float, float, bool]:
-    """(max ratio, threshold delta/sqrt(N-1), pass) for the QGP criterion."""
-    report = condition_report(frame, m, delta_threshold=delta, pairing=pairing)
-    return report.max_new, report.new_threshold, report.new_pass
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,8 @@ log = logging.getLogger(__name__)
 #: couplings below this magnitude have no well-defined phase
 COUPLING_FLOOR = 1e-12
 
-DEFAULT_GRID_SAMPLES = 4096
-DEFAULT_GAP_FLOOR = 1e-8
+#: a pairwise gap below this raises GapClosureError
+GAP_FLOOR = 1e-8
 
 #: every diagonal overlap above this makes the identity the unique matching
 _IDENTITY_OVERLAP = 1.0 / np.sqrt(2.0)
@@ -94,8 +94,7 @@ class TimeGrid:
 
     @property
     def is_uniform(self) -> bool:
-        steps = np.diff(self.samples)
-        return bool(np.allclose(steps, steps[0], rtol=1e-9, atol=0.0))
+        return numerics._is_uniform(self.samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +207,6 @@ def _track_levels(
 def build_frame(
     model: HamiltonianModel,
     grid: TimeGrid,
-    gap_floor: float = DEFAULT_GAP_FLOOR,
     gamma_mode: str = "auto",
 ) -> SpectralFrame:
     """Construct the gauge-continuous eigenframe of ``model`` on ``grid``."""
@@ -223,10 +221,8 @@ def build_frame(
             else None
         )
         min_gap = _pairwise_min_gap(energies)
-        if min_gap < gap_floor:
-            raise GapClosureError(
-                f"min gap {min_gap:.3e} below floor {gap_floor:.3e}"
-            )
+        if min_gap < GAP_FLOOR:
+            raise GapClosureError(f"min gap {min_gap:.3e} below floor {GAP_FLOOR:.3e}")
         return SpectralFrame(
             grid=grid,
             energies=energies,
@@ -249,8 +245,8 @@ def build_frame(
         )
 
     min_gap = _pairwise_min_gap(energies)
-    if min_gap < gap_floor:
-        raise GapClosureError(f"min gap {min_gap:.3e} below floor {gap_floor:.3e}")
+    if min_gap < GAP_FLOOR:
+        raise GapClosureError(f"min gap {min_gap:.3e} below floor {GAP_FLOOR:.3e}")
 
     if mode == "analytic_derivative":
         # i <phi_n|dh|phi_m> / (e_m - e_n), assembled in place
@@ -276,44 +272,6 @@ def build_frame(
         model=model,
         min_overlap=min_overlap,
     )
-
-
-def build_frame_refined(
-    model: HamiltonianModel,
-    tau_start: float,
-    tau_end: float,
-    base_samples: int = DEFAULT_GRID_SAMPLES,
-    refine_tol: float = 1e-6,
-    max_doublings: int = 5,
-    gap_floor: float = DEFAULT_GAP_FLOOR,
-    gamma_mode: str = "auto",
-) -> SpectralFrame:
-    """Build on a uniform grid, doubling density until |gamma| stabilizes.
-
-    Grids are chosen so every refinement contains the previous samples, and
-    convergence is judged on max change of |gamma| at the shared samples.
-    """
-    n = base_samples
-    frame = build_frame(model, TimeGrid.uniform(tau_start, tau_end, n), gap_floor, gamma_mode)
-    for _ in range(max_doublings):
-        finer = build_frame(
-            model, TimeGrid.uniform(tau_start, tau_end, 2 * n - 1), gap_floor, gamma_mode
-        )
-        shared = np.abs(finer.gamma[::2]) - np.abs(frame.gamma)
-        if float(np.max(np.abs(shared))) < refine_tol:
-            return finer
-        frame, n = finer, 2 * n - 1
-    log.warning("|gamma| refinement did not settle below %g", refine_tol)
-    return frame
-
-
-def gamma_at(frame: SpectralFrame, n: int, m: int, tau) -> complex | np.ndarray:
-    """gamma_nm at tau by linear interpolation (exact at grid points)."""
-    _require_levels(frame, n, m)
-    _require_in_range(frame, tau)
-    series = frame.gamma[:, n, m]
-    out = numerics.interp_complex(tau, frame.grid.samples, series)
-    return complex(out) if np.ndim(tau) == 0 else out
 
 
 def theta_series(frame: SpectralFrame, m: int, n: int) -> tuple[np.ndarray, int]:

@@ -1,8 +1,9 @@
 """Dense complex linear algebra for small N (2 <= N <= ~16).
 
-Hermitian eigendecomposition, unitary matrix exponentials, and the handful of
-norm/overlap helpers the rest of the package leans on.  Everything operates on
-plain ``numpy`` arrays; eigenvectors are stored as matrix *columns*.
+Hermitian eigendecomposition, unitary matrix exponentials, and the
+Hermiticity and unit-norm checks the rest of the package leans on.
+Everything operates on plain ``numpy`` arrays; eigenvectors are stored as
+matrix *columns*.
 """
 
 from __future__ import annotations
@@ -42,20 +43,19 @@ def default_hermiticity_tol(h: np.ndarray) -> float:
     return 1e-10 * max(max_abs(h), 1.0)
 
 
-def require_hermitian(h: np.ndarray, tol: float | None = None) -> np.ndarray:
+def require_hermitian(h: np.ndarray) -> np.ndarray:
     """Validate Hermiticity and return the exactly-Hermitian part.
 
-    Raises NotHermitianError if the defect exceeds ``tol``.  The returned
-    matrix is (H + H^dagger)/2 so downstream spectral routines see an exactly
-    self-adjoint input.
+    Raises NotHermitianError if the defect exceeds
+    ``default_hermiticity_tol``.  The returned matrix is (H + H^dagger)/2 so
+    downstream spectral routines see an exactly self-adjoint input.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise NotHermitianError(f"expected a square matrix, got shape {h.shape}")
     if not np.all(np.isfinite(h.view(float))):
         raise NotHermitianError("matrix contains non-finite entries")
-    if tol is None:
-        tol = default_hermiticity_tol(h)
+    tol = default_hermiticity_tol(h)
     defect = hermiticity_defect(h)
     if defect > tol:
         raise NotHermitianError(
@@ -64,19 +64,10 @@ def require_hermitian(h: np.ndarray, tol: float | None = None) -> np.ndarray:
     return 0.5 * (h + dagger(h))
 
 
-def state_norm(psi: np.ndarray) -> float:
-    return float(np.linalg.norm(psi))
-
-
-def overlap(a: np.ndarray, b: np.ndarray) -> complex:
-    """<a|b> with the physicist's convention (conjugate on the first slot)."""
-    return complex(np.vdot(a, b))
-
-
 def require_state(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Validate that psi is a unit vector within ``tol``."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    nrm = state_norm(psi)
+    nrm = float(np.linalg.norm(psi))
     if abs(nrm - 1.0) > tol:
         raise ValueError(f"state norm {nrm!r} deviates from 1 by more than {tol}")
     return psi
@@ -100,13 +91,13 @@ class EigenSystem:
         return self.values.shape[0]
 
 
-def eigh(h: np.ndarray, hermiticity_tol: float | None = None) -> EigenSystem:
+def eigh(h: np.ndarray) -> EigenSystem:
     """Hermitian eigendecomposition with ascending eigenvalues.
 
     Per-eigenvector phase is arbitrary here; gauge fixing happens in the
     spectral-flow layer.
     """
-    h = require_hermitian(h, hermiticity_tol)
+    h = require_hermitian(h)
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -127,9 +118,9 @@ def eigh_batch(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(hs)
 
 
-def expm_unitary(h: np.ndarray, t: float, hermiticity_tol: float | None = None) -> np.ndarray:
+def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) via spectral decomposition; unitary by construction."""
-    system = eigh(h, hermiticity_tol)
+    system = eigh(h)
     phases = np.exp(-1j * system.values * t)
     return (system.vectors * phases) @ dagger(system.vectors)
 

@@ -22,15 +22,10 @@ from .models import RobustModelParams, RotatingSpinParams, robust_model
 
 @dataclass(frozen=True, eq=False)
 class FidelitySeries:
-    """Per-sample values in [0, 1], either measured or from a closed form."""
+    """Per-sample measured values in [0, 1]."""
 
     grid: TimeGrid
     values: np.ndarray
-    source: str
-
-    @property
-    def minimum(self) -> float:
-        return float(np.min(self.values))
 
 
 def _require_same_grid(a: TimeGrid, b: TimeGrid) -> None:
@@ -50,7 +45,7 @@ def fidelity(result: EvolutionResult, trajectory: AdiabaticTrajectory) -> Fideli
         raise GridMismatchError("state dimensions differ")
     values = np.abs(np.einsum("kn,kn->k", trajectory.states.conj(), result.states))
     values /= result.norms * np.linalg.norm(trajectory.states, axis=1)
-    return FidelitySeries(grid=result.grid, values=values, source="simulated")
+    return FidelitySeries(grid=result.grid, values=values)
 
 
 def occupation(result: EvolutionResult, frame: SpectralFrame, m: int) -> FidelitySeries:
@@ -58,7 +53,7 @@ def occupation(result: EvolutionResult, frame: SpectralFrame, m: int) -> Fidelit
     _require_same_grid(result.grid, frame.grid)
     amp = np.einsum("kn,kn->k", frame.vectors[:, :, m].conj(), result.states)
     values = (np.abs(amp) / result.norms) ** 2
-    return FidelitySeries(grid=result.grid, values=values, source="simulated")
+    return FidelitySeries(grid=result.grid, values=values)
 
 
 def closed_form_F(params: RotatingSpinParams, tau) -> float | np.ndarray:
@@ -85,7 +80,15 @@ def rotating_fidelity_period(params: RotatingSpinParams) -> float:
     return math.pi / a
 
 
-def _closed_form_P_terms(params: RobustModelParams, tau, secular_sign: float):
+def closed_form_P(params: RobustModelParams, tau) -> float | np.ndarray:
+    """Probability of staying in the upper adiabatic orbit of the robust model.
+
+    Exact: derived by composing the SO(3) rotations of the model's
+    closed-form propagator, and pinned against it to ~1e-15 in the tests.
+    The lower orbit gives the same value (the two are complementary pure
+    states).  Small oscillatory terms are accumulated before the large
+    static ones to keep the 1e-6 oracle agreement honest at large eta2.
+    """
     p = params
     taus = np.asarray(tau, dtype=float)
     n0 = float(p.gap_scale(0.0))
@@ -99,43 +102,16 @@ def _closed_form_P_terms(params: RobustModelParams, tau, secular_sign: float):
     cos2f = np.cos(2 * p.eta2 * taus)
     cosf_sq = np.cos(p.eta2 * taus) ** 2
     sinbar_sq = np.sin(ebar * taus) ** 2
-    # secular_sign = -1 pairs the -2*etil^4 term with sin^2(eta2 tau);
-    # +1 gives the sign-flipped variant paired with cos^2(eta2 tau).
-    mixed_sq = 1.0 - cosf_sq if secular_sign < 0 else cosf_sq
+    # the secular -2*etil^4 term pairs with sin^2(eta2 tau)
     small = (
-        secular_sign * (2.0 * etil_sq**2 / ebar**2) * sinbar_sq
-        - secular_sign * (4.0 * p.eta * (p.eta0 + p.eta2) * etil_sq / ebar**2)
-        * mixed_sq * sinbar_sq
+        -(2.0 * etil_sq**2 / ebar**2) * sinbar_sq
+        + (4.0 * p.eta * (p.eta0 + p.eta2) * etil_sq / ebar**2)
+        * (1.0 - cosf_sq) * sinbar_sq
         + (p.eta * etil_sq / ebar) * np.sin(2 * ebar * taus) * np.sin(2 * p.eta2 * taus)
     )
     big = p.eta0**2 + p.eta1**2 + p.eta**2 * cos2f + 2 * p.eta * p.eta1 * cosf_sq
     out = (small + big) / (2.0 * n0 * nt) + 0.5
     return float(out) if np.ndim(tau) == 0 else out
-
-
-def closed_form_P(params: RobustModelParams, tau, sign: int = +1) -> float | np.ndarray:
-    """Probability of staying in the +-1 adiabatic orbit of the robust model.
-
-    Exact: derived by composing the SO(3) rotations of the model's
-    closed-form propagator, and pinned against it to ~1e-15 in the tests.
-    Both orbits give the same value (they are complementary pure states), so
-    ``sign`` only selects which orbit the caller means.  Small oscillatory
-    terms are accumulated before the large static ones to keep the 1e-6
-    oracle agreement honest at large eta2.
-    """
-    if sign not in (+1, -1):
-        raise InvalidParamsError("sign must be +1 or -1")
-    return _closed_form_P_terms(params, tau, secular_sign=-1.0)
-
-
-def closed_form_P_secular_variant(params: RobustModelParams, tau) -> float | np.ndarray:
-    """Variant with the secular terms' sign flipped (cos^2 pairing).
-
-    This transcription circulates for the same model but disagrees with the
-    exact propagator at order etil^4/(ebar^2 N0 N); kept so the discrepancy
-    is measured and reported rather than silently patched.
-    """
-    return _closed_form_P_terms(params, tau, secular_sign=+1.0)
 
 
 def p_min(params: RobustModelParams) -> float:

@@ -9,6 +9,17 @@ _EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 
 
+def _is_uniform(x: np.ndarray) -> bool:
+    """Whether every step of the grid x equals the first to a relative 1e-9.
+
+    The absolute slack of 1e-15 times the largest |x| absorbs the rounding
+    of linspace far from the origin.
+    """
+    steps = np.diff(x)
+    scale = max(abs(x[0]), abs(x[-1]), 1.0)
+    return bool(np.allclose(steps, steps[0], rtol=1e-9, atol=1e-15 * scale))
+
+
 def fornberg_weights(x: np.ndarray, x0: float, order: int) -> np.ndarray:
     """Finite-difference weights for d^order/dx^order at x0 on nodes x.
 
@@ -50,11 +61,9 @@ def derivative_series(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     k = x.size
     if k < 5:
         return np.gradient(y, x, axis=0, edge_order=min(2, k - 1))
-    steps = np.diff(x)
-    h = steps[0]
-    uniform = np.allclose(steps, h, rtol=1e-9, atol=1e-15 * max(abs(x[0]), abs(x[-1]), 1.0))
+    h = x[1] - x[0]
     out = np.empty_like(y, dtype=np.result_type(y.dtype, float))
-    if uniform:
+    if _is_uniform(x):
         # (y[i-2] - 8 y[i-1] + 8 y[i+1] - y[i+2]) / 12h, accumulated in place
         mid = out[2:-2]
         np.subtract(y[3:-1], y[1:-3], out=mid)
@@ -116,10 +125,9 @@ def cumulative_integral(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     k = x.size
     if k < 4:
         return cumulative_trapezoid(y, x)
-    steps = np.diff(x)
-    h = steps[0]
+    h = x[1] - x[0]
     increments = np.empty(k - 1)
-    if np.allclose(steps, h, rtol=1e-9, atol=1e-15 * max(abs(x[0]), abs(x[-1]), 1.0)):
+    if _is_uniform(x):
         win = np.stack([y[i : k - 3 + i] for i in range(4)])
         increments[1:-1] = h * np.tensordot(_STEP_CENTERED, win, axes=(0, 0))
         increments[0] = h * np.dot(_STEP_LEFT, y[:4])
@@ -140,24 +148,9 @@ def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
     return float(np.trapezoid(np.asarray(y, dtype=float), np.asarray(x, dtype=float)))
 
 
-def interp_complex(tau: float | np.ndarray, taus: np.ndarray, series: np.ndarray):
-    """Linear interpolation of a complex per-sample series."""
-    re = np.interp(tau, taus, series.real)
-    im = np.interp(tau, taus, series.imag)
-    return re + 1j * im
-
-
 def valid_runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Maximal [start, stop) index runs where mask is True."""
-    mask = np.asarray(mask, dtype=bool)
-    runs = []
-    start = None
-    for i, ok in enumerate(mask):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, mask.size))
-    return runs
+    # the edges of the False-padded mask alternate start, stop, start, ...
+    padded = np.concatenate(([False], np.asarray(mask, dtype=bool), [False]))
+    edges = np.flatnonzero(np.diff(padded))
+    return [(int(start), int(stop)) for start, stop in zip(edges[::2], edges[1::2])]

@@ -88,6 +88,28 @@ class TestSimulate:
         assert header == ["tau", "F_simulated"]
         np.testing.assert_allclose(rows[:, 1], 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("outputs,written", [
+        ("fidelity", ["fidelity.csv"]),
+        ("trajectory", ["trajectory.csv"]),
+        ("conditions,trajectory", ["trajectory.csv"]),
+        ("fidelity,trajectory", ["trajectory.csv", "fidelity.csv"]),
+    ], ids=["fidelity", "trajectory", "conditions,trajectory", "fidelity,trajectory"])
+    def test_writes_only_the_named_outputs(self, tmp_path, capsys, outputs, written):
+        out = tmp_path / "out"
+        path = tmp_path / "outputs.ini"
+        path.write_text(CONSTANT_CONFIG.format(out=out) + f"outputs = {outputs}\n")
+        assert cli.main(["simulate", "--config", str(path)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(written)
+        files = " and ".join(f"{out}/{name}" for name in written)
+        assert capsys.readouterr().out.startswith(f"simulate: wrote {files} (min F = ")
+
+    def test_outputs_without_a_simulate_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "outputs.ini"
+        path.write_text(CONSTANT_CONFIG.format(out=tmp_path / "out") + "outputs = conditions\n")
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert "config error: field 'outputs' in [output]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_field_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.ini"
         path.write_text("[model]\nname = rotating_spin\nxi = 0.5\nk = 1.0\n")
@@ -407,8 +429,8 @@ class TestComputeOnce:
         assert cli.main(["conditions", "--config", str(config)]) == 0
         assert calls == {"build_frame": 1, "evolve_schrodinger": 1}
 
-    @pytest.mark.parametrize("command", ["simulate", "conditions"])
-    def test_model_is_built_once(self, tmp_path, monkeypatch, command):
+    @pytest.mark.parametrize("command", ["simulate", "conditions", "figure1"])
+    def test_model_is_built_once(self, tmp_path, monkeypatch, calls, command):
         builds = []
         original = cli.build_model
 
@@ -419,8 +441,10 @@ class TestComputeOnce:
         monkeypatch.setattr(cli, "build_model", counted)
         params = RotatingSpinParams(eta=1.0, xi=0.5, K=2.0)
         config = rotating_config(tmp_path, params, samples=256)
-        assert cli.main([command, "--config", str(config), "--grid", "128"]) == 0
-        assert builds == ["rotating_spin"]
+        args = ["--out", str(tmp_path / "fig")] if command == "figure1" else ["--config", str(config)]
+        assert cli.main([command, *args, "--grid", "128"]) == 0
+        assert builds == ["robust" if command == "figure1" else "rotating_spin"]
+        assert calls == {"build_frame": 1, "evolve_schrodinger": 1}
 
     def test_sweep_builds_each_stage_once_per_point(self, tmp_path, calls):
         config_text = ROTATING_CONFIG.format(

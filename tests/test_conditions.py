@@ -11,11 +11,9 @@ from qgplab.conditions import (
     TheoremInputs,
     condition_report,
     constant_case_solution,
-    new_condition,
     pi_bound,
     rrcp_check,
     theorem_bound,
-    traditional_condition,
 )
 from qgplab.errors import (
     InvalidParamsError,
@@ -52,9 +50,8 @@ def rotating_new_ratio(p):
 class TestFrameCriteria:
     def test_constant_model_ratios_vanish(self):
         frame = build_frame(constant_model(SIGMA_Z), TimeGrid.uniform(0.0, 1.0, 65))
-        ratio, _, passed = traditional_condition(frame, 0)
-        assert ratio == 0.0 and passed
         report = condition_report(frame, 0, delta_threshold=0.1)
+        assert report.max_traditional == 0.0 and report.traditional_pass
         assert report.max_new == 0.0 and report.new_pass
 
     def test_rotating_ratios_match_closed_forms(self):
@@ -67,19 +64,20 @@ class TestFrameCriteria:
         assert report.max_new_strict == pytest.approx(report.max_new_conservative, abs=1e-12)
 
     def test_unfaithful_regime_traditional_passes_new_fails(self, regime_unfaithful):
-        frame = rotating_frame(regime_unfaithful)
-        trad_ratio, _, trad_pass = traditional_condition(frame, 1, threshold=0.1)
-        new_ratio, threshold, new_pass = new_condition(frame, 1, delta=0.1)
-        assert trad_pass and trad_ratio <= 0.1
-        assert not new_pass and new_ratio > threshold
-        assert new_ratio == pytest.approx(rotating_new_ratio(regime_unfaithful), abs=1e-9)
+        report = condition_report(
+            rotating_frame(regime_unfaithful), 1, delta_threshold=0.1, traditional_threshold=0.1
+        )
+        assert report.traditional_pass and report.max_traditional <= 0.1
+        assert not report.new_pass and report.max_new > report.new_threshold
+        assert report.max_new == pytest.approx(rotating_new_ratio(regime_unfaithful), abs=1e-9)
 
     def test_rescued_regime_traditional_fails_new_passes(self, regime_rescued):
-        frame = rotating_frame(regime_rescued, horizon=0.1)
-        trad_ratio, _, trad_pass = traditional_condition(frame, 1, threshold=0.1)
-        new_ratio, threshold, new_pass = new_condition(frame, 1, delta=0.1)
-        assert not trad_pass and trad_ratio > 0.1
-        assert new_pass and new_ratio <= threshold
+        report = condition_report(
+            rotating_frame(regime_rescued, horizon=0.1), 1,
+            delta_threshold=0.1, traditional_threshold=0.1,
+        )
+        assert not report.traditional_pass and report.max_traditional > 0.1
+        assert report.new_pass and report.max_new <= report.new_threshold
 
     def test_probability_floor(self):
         p = RotatingSpinParams(eta=1.0, xi=0.5, K=2.0)

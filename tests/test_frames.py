@@ -5,7 +5,6 @@ from scipy.optimize import linear_sum_assignment as scipy_linear_sum_assignment
 from qgplab import evolve, frames, models, qgp
 from qgplab.errors import (
     GapClosureError,
-    OutOfRangeError,
     TrackingAmbiguityError,
     UndefinedArgError,
 )
@@ -13,8 +12,6 @@ from qgplab.frames import (
     TimeGrid,
     adiabatic_trajectory,
     build_frame,
-    build_frame_refined,
-    gamma_at,
     regauge,
     theta_mn,
     theta_series,
@@ -144,36 +141,31 @@ class TestBuildFrame:
         with pytest.raises(TrackingAmbiguityError):
             build_frame(model, TimeGrid.uniform(0.0, 1.0, 2), gamma_mode="finite_difference")
 
-    def test_refinement_settles(self, rot_model):
-        frame = build_frame_refined(rot_model, 0.0, 1.0, base_samples=256, refine_tol=1e-6)
-        assert frame.grid.n >= 511
-
 
 class TestGammaAt:
+    """frame.gamma[k, n, m] at grid samples k."""
+
     def test_constant_model_zero(self, grid):
         frame = build_frame(constant_model(SIGMA_Z), grid)
-        assert gamma_at(frame, 0, 1, 1.234) == 0
+        k = int(np.searchsorted(grid.samples, 1.234))
+        assert frame.gamma[k, 0, 1] == 0
 
     def test_hermitian_symmetry_at_random_taus(self, rot_model, grid, rng):
         frame = build_frame(rot_model, grid, gamma_mode="analytic_derivative")
-        for tau in rng.uniform(0.0, 2 * np.pi, 100):
-            g01 = gamma_at(frame, 0, 1, float(tau))
-            g10 = gamma_at(frame, 1, 0, float(tau))
+        for k in rng.integers(0, grid.n, 100):
+            g01 = frame.gamma[k, 0, 1]
+            g10 = frame.gamma[k, 1, 0]
             assert abs(g01 - np.conjugate(g10)) < 1e-10
 
     def test_rotating_closed_form(self, rot_model, rot_params, grid):
-        # analytic path hits the closed form to 1e-8; the numeric gauges pay
-        # a linear-interpolation penalty between samples on top of FD error
+        # the analytic path hits the closed form to 1e-8; the numeric gauges
+        # carry the finite-difference error on top
         expected = rot_params.coupling_abs
+        k = int(np.searchsorted(grid.samples, 0.5))
         tols = (("analytic_frame", 1e-8), ("analytic_derivative", 1e-6), ("finite_difference", 1e-5))
         for mode, tol in tols:
             frame = build_frame(rot_model, grid, gamma_mode=mode)
-            assert abs(abs(gamma_at(frame, 0, 1, 0.5)) - expected) < tol
-
-    def test_out_of_range(self, rot_model, grid):
-        frame = build_frame(rot_model, grid, gamma_mode="analytic_frame")
-        with pytest.raises(OutOfRangeError):
-            gamma_at(frame, 0, 1, 100.0)
+            assert abs(abs(frame.gamma[k, 0, 1]) - expected) < tol
 
 
 class TestTheta:

@@ -156,8 +156,3 @@ class TestStateHelpers:
     def test_require_state_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             linalg.require_state(np.array([1.0, 1.0], dtype=complex))
-
-    def test_overlap_convention(self):
-        a = np.array([1.0, 1.0j]) / np.sqrt(2)
-        b = np.array([1.0, 0.0], dtype=complex)
-        assert linalg.overlap(a, b) == pytest.approx(1 / np.sqrt(2))

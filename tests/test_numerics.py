@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from qgplab.numerics import derivative_series
+from qgplab.numerics import derivative_series, valid_runs
 
 
 def stacked_stencil(y, h):
@@ -25,3 +26,38 @@ class TestDerivativeSeries:
         y = np.stack([x**4 - 2.0 * x**3, 3.0 * x**2 + x], axis=1)
         dy = np.stack([4.0 * x**3 - 6.0 * x**2, 6.0 * x + 1.0], axis=1)
         np.testing.assert_allclose(derivative_series(y, x), dy, rtol=0.0, atol=1e-11)
+
+
+def looped_runs(mask):
+    """Oracle: maximal [start, stop) runs of True, found sample by sample."""
+    runs, start = [], None
+    for i, ok in enumerate(mask):
+        if ok and start is None:
+            start = i
+        elif not ok and start is not None:
+            runs.append((start, i))
+            start = None
+    if start is not None:
+        runs.append((start, len(mask)))
+    return runs
+
+
+class TestValidRuns:
+    def test_matches_the_loop_on_random_masks(self, rng):
+        for size in (2, 3, 17, 1000):
+            for density in (0.1, 0.5, 0.9):
+                mask = rng.random(size) < density
+                assert valid_runs(mask) == looped_runs(mask)
+
+    @pytest.mark.parametrize("mask,runs", [
+        (np.ones(7, dtype=bool), [(0, 7)]),
+        (np.zeros(7, dtype=bool), []),
+        (np.array([True]), [(0, 1)]),
+        (np.array([False]), []),
+    ], ids=["all-true", "all-false", "one-true", "one-false"])
+    def test_edge_masks(self, mask, runs):
+        assert valid_runs(mask) == looped_runs(mask) == runs
+
+    def test_bounds_are_plain_ints(self, rng):
+        runs = valid_runs(rng.random(100) < 0.5)
+        assert runs and all(type(i) is int for run in runs for i in run)

@@ -37,7 +37,7 @@ class TrackingAmbiguityError(NumericalError):
 
 
 class OutOfRangeError(QgplabError):
-    """Query time outside the frame's grid."""
+    """Level index outside the frame's levels."""
 
 
 class UndefinedArgError(NumericalError):

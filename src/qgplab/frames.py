@@ -305,14 +305,6 @@ def theta_series(frame: SpectralFrame, m: int, n: int) -> tuple[np.ndarray, int]
     return integral + arg, large
 
 
-def theta_mn(frame: SpectralFrame, m: int, n: int, tau) -> float | np.ndarray:
-    """theta_mn at tau (linear interpolation between grid samples)."""
-    _require_in_range(frame, tau)
-    series, _ = theta_series(frame, m, n)
-    out = np.interp(tau, frame.grid.samples, series)
-    return float(out) if np.ndim(tau) == 0 else out
-
-
 @dataclass(frozen=True, eq=False)
 class AdiabaticTrajectory:
     """U(1)-invariant adiabatic orbit of one level.
@@ -367,9 +359,3 @@ def _require_levels(frame: SpectralFrame, *levels: int) -> None:
         if not 0 <= lvl < frame.dim:
             raise OutOfRangeError(f"level {lvl} outside 0..{frame.dim - 1}")
 
-
-def _require_in_range(frame: SpectralFrame, tau) -> None:
-    lo, hi = frame.grid.tau_start, frame.grid.tau_end
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < lo - 1e-12) or np.any(tau > hi + 1e-12):
-        raise OutOfRangeError(f"tau outside grid range [{lo}, {hi}]")

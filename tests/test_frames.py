@@ -13,7 +13,6 @@ from qgplab.frames import (
     adiabatic_trajectory,
     build_frame,
     regauge,
-    theta_mn,
     theta_series,
 )
 from qgplab.linalg import SIGMA_Z, eigh_batch
@@ -172,7 +171,8 @@ class TestTheta:
     def test_at_zero_is_arg_gamma(self, rot_model, grid):
         frame = build_frame(rot_model, grid, gamma_mode="analytic_frame")
         expected = np.angle(frame.gamma[0, 1, 0])
-        assert theta_mn(frame, 1, 0, 0.0) == pytest.approx(expected, abs=1e-12)
+        series, _ = theta_series(frame, 1, 0)
+        assert series[0] == pytest.approx(expected, abs=1e-12)
 
     def test_theta_dot_equals_gap_minus_qgp(self, rot_model, grid):
         frame = build_frame(rot_model, grid, gamma_mode="analytic_derivative")
@@ -196,7 +196,7 @@ class TestTheta:
     def test_undefined_arg_for_constant_model(self, grid):
         frame = build_frame(constant_model(SIGMA_Z), grid)
         with pytest.raises(UndefinedArgError):
-            theta_mn(frame, 0, 1, 1.0)
+            theta_series(frame, 0, 1)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_large_unwrap_steps_are_flagged(self):

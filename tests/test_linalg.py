@@ -81,6 +81,17 @@ class TestEigh:
         with pytest.raises(NotHermitianError):
             eigh(np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex))
 
+    def test_accepts_non_contiguous_input(self, rng):
+        # transposes and strided slices have a non-contiguous last axis
+        h = random_hermitian(rng, 3)
+        sub = random_hermitian(rng, 6)[::2, ::2]
+        for view in (h.T, sub):
+            assert not view.flags.c_contiguous
+            np.testing.assert_array_equal(eigh(view).values, eigh(view.copy()).values)
+            np.testing.assert_array_equal(
+                expm_unitary(view, 0.3), expm_unitary(view.copy(), 0.3)
+            )
+
     def test_flags_degenerate(self):
         assert eigh(np.eye(3, dtype=complex)).degenerate
         assert not eigh(SIGMA_Z).degenerate
@@ -147,6 +158,63 @@ class TestExpmUnitary:
         # rotation by pi about y up to phase: |0> -> |1> direction
         psi = u @ np.array([1.0, 0.0])
         assert abs(abs(psi[1]) - 1.0) < 1e-12
+
+
+def unitarity_defect(us: np.ndarray) -> float:
+    return float(np.max(np.abs(us @ linalg.dagger(us) - np.eye(us.shape[-1]))))
+
+
+def unit_one_norm_stack(rng, shape, n):
+    """Random Hermitian matrices of the given leading shape with ||h||_1 = 1."""
+    hs = np.stack([random_hermitian(rng, n) for _ in range(int(np.prod(shape)))])
+    hs /= np.abs(hs).sum(axis=-2).max(axis=-1)[:, None, None]
+    return hs.reshape(*shape, n, n)
+
+
+class TestExpmBatchPade:
+    """The N > 2 batch route against the spectral ``expm_unitary`` oracle."""
+
+    # just below each theta_m reaches every degree; 1e3 needs 8 squarings
+    NORMS = [1e-8] + [0.9 * theta for _, theta in linalg._PADE_THETA] + [40.0, 1e3]
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 16])
+    @pytest.mark.parametrize("norm", NORMS)
+    def test_matches_spectral_oracle(self, rng, n, norm):
+        hs = unit_one_norm_stack(rng, (3, 2), n)
+        # both signs and zero; the largest |t| makes max ||A||_1 = norm
+        ts = norm * np.array([[1.0, -0.5], [0.0, -1.0], [0.25, 0.7]])
+        us = linalg.expm_unitary_batch(hs, ts)
+        assert us.shape == (3, 2, n, n)
+        oracle = np.array(
+            [[expm_unitary(hs[i, j], ts[i, j]) for j in range(2)] for i in range(3)]
+        )
+        np.testing.assert_allclose(us, oracle, rtol=0, atol=1e-14 * max(1.0, norm))
+        assert unitarity_defect(us) <= 1e-12
+        np.testing.assert_array_equal(us[1, 0], np.eye(n))
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_zero_generator_is_exact_identity(self, n):
+        us = linalg.expm_unitary_batch(np.zeros((4, n, n)), np.array([-2.0, 0.0, 1e-3, 7.3]))
+        np.testing.assert_array_equal(us, np.broadcast_to(np.eye(n), (4, n, n)))
+
+    def test_blocks_pick_their_own_degree(self, rng):
+        # one large-norm matrix in the second block only
+        k = linalg.EXPM_BLOCK + 5
+        hs = unit_one_norm_stack(rng, (k,), 4)
+        ts = rng.uniform(-0.01, 0.01, k)
+        ts[linalg.EXPM_BLOCK + 2] = 300.0
+        us = linalg.expm_unitary_batch(hs, ts)
+        oracle = np.stack([expm_unitary(h, t) for h, t in zip(hs, ts)])
+        np.testing.assert_allclose(us, oracle, rtol=0, atol=1e-11)
+        assert unitarity_defect(us) <= 1e-12
+        first = linalg.expm_unitary_batch(hs[: linalg.EXPM_BLOCK], ts[: linalg.EXPM_BLOCK])
+        np.testing.assert_array_equal(us[: linalg.EXPM_BLOCK], first)
+
+    def test_rejects_non_finite_generator(self):
+        hs = np.zeros((2, 3, 3), dtype=complex)
+        hs[1, 0, 0] = np.nan
+        with pytest.raises(NotHermitianError):
+            linalg.expm_unitary_batch(hs, 1.0)
 
 
 class TestStateHelpers:

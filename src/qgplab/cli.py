@@ -23,6 +23,7 @@ import configparser
 import itertools
 import sys
 from dataclasses import dataclass, field, replace
+from fnmatch import fnmatchcase
 from functools import cached_property
 
 import numpy as np
@@ -52,6 +53,21 @@ _PAULI = {"sigma_x": SIGMA_X, "sigma_y": SIGMA_Y, "sigma_z": SIGMA_Z}
 
 #: the names [output] outputs accepts
 OUTPUTS = ("trajectory", "fidelity", "conditions")
+
+#: the keys of each section besides [model] and [sweep]
+_SECTION_KEYS = {
+    "run": ("tau_start", "tau_end", "samples", "level", "tol"),
+    "conditions": ("delta", "traditional_threshold", "pairing"),
+    "output": ("dir", "outputs"),
+}
+
+#: each model's own keys, the ones [model] (besides ``name``) and [sweep] take
+_MODEL_KEYS = {
+    "rotating_spin": ("eta", "xi", "k"),
+    "robust": ("eta", "eta0", "eta1", "eta2"),
+    "bloch_curve": ("theta_type", "theta_coeffs", "phi_type", "phi_coeffs", "a", "b"),
+    "fourier": ("dim", "term*"),
+}
 
 
 @dataclass
@@ -83,6 +99,14 @@ def _get(section, key, cast, *, required=True, default=None, where=""):
         raise ConfigError(f"field '{key}' in [{where}]: cannot parse {raw!r}") from exc
 
 
+def _finite(value, where: str):
+    """``value``, a number or an array; ConfigError naming ``where`` unless
+    every entry is finite."""
+    if not np.isfinite(value).all():
+        raise ConfigError(f"{where}: must be finite, got {np.asarray(value).tolist()!r}")
+    return value
+
+
 def _parse_level(raw: str) -> int:
     aliases = {"upper": 1, "plus": 1, "+": 1, "lower": 0, "minus": 0, "-": 0}
     key = raw.strip().lower()
@@ -93,10 +117,9 @@ def _parse_level(raw: str) -> int:
 
 def _parse_scalar_descriptor(section, prefix: str, where: str) -> SmoothScalar:
     kind = _get(section, f"{prefix}_type", str, required=False, default="const", where=where)
-    coeffs = [
-        float(v)
-        for v in _get(section, f"{prefix}_coeffs", str, where=where).split(",")
-    ]
+    key = f"{prefix}_coeffs"
+    coeffs = _get(section, key, lambda raw: [float(v) for v in raw.split(",")], where=where)
+    _finite(coeffs, f"field '{key}' in [{where}]")
     kind = kind.strip().lower()
     if kind in ("const", "constant"):
         if len(coeffs) != 1:
@@ -123,11 +146,14 @@ def parse_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    if parser.defaults():
+        raise ConfigError("unknown section [DEFAULT] (its keys would enter every section)")
     if "model" not in sections:
         raise ConfigError("missing section [model]")
     model_section = sections["model"]
     name = _get(model_section, "name", str, where="model").strip().lower()
     params = {k: v for k, v in model_section.items() if k != "name"}
+    _check_keys(sections, name)
 
     cfg = ScenarioConfig(model_name=name, model_params=params)
     if "run" in sections:
@@ -163,6 +189,23 @@ def parse_config(path: str) -> ScenarioConfig:
     return cfg
 
 
+def _check_keys(sections: dict[str, dict], model_name: str) -> None:
+    """Reject an unknown model, section or key, naming the first one."""
+    if model_name not in _MODEL_KEYS:
+        raise ConfigError(f"field 'name' in [model]: unknown model {model_name!r}")
+    model_keys = _MODEL_KEYS[model_name]
+    allowed = dict(_SECTION_KEYS, model=("name", *model_keys), sweep=model_keys)
+    for section, values in sections.items():
+        if section not in allowed:
+            raise ConfigError(f"unknown section [{section}] (choose from {', '.join(allowed)})")
+        for key in values:
+            if not any(fnmatchcase(key, pattern) for pattern in allowed[section]):
+                raise ConfigError(
+                    f"field '{key}' in [{section}]: unknown key"
+                    f" (choose from {', '.join(allowed[section])})"
+                )
+
+
 def _float_list(raw: str) -> list[float]:
     return [float(v) for v in raw.split(",") if v.strip() != ""]
 
@@ -180,8 +223,7 @@ def _validate(cfg: ScenarioConfig, sources: dict[str, str]) -> None:
     if cfg.samples < MIN_GRID:
         raise ConfigError(f"{where('samples')}: grid size {cfg.samples} < {MIN_GRID}")
     for key in ("tau_start", "tau_end"):
-        if not np.isfinite(getattr(cfg, key)):
-            raise ConfigError(f"{where(key)}: must be finite, got {getattr(cfg, key)!r}")
+        _finite(getattr(cfg, key), where(key))
     if not cfg.tau_end > cfg.tau_start:
         raise ConfigError(f"{where('tau_end')}: must exceed tau_start")
     if not (np.isfinite(cfg.tol) and cfg.tol > 0):
@@ -197,8 +239,7 @@ def _validate(cfg: ScenarioConfig, sources: dict[str, str]) -> None:
     if cfg.pairing not in ("conservative", "strict"):
         raise ConfigError(f"{where('pairing', 'conditions')}: conservative or strict")
     for key, values in cfg.sweep.items():
-        if not np.all(np.isfinite(values)):
-            raise ConfigError(f"{where(key, 'sweep')}: values must be finite, got {values!r}")
+        _finite(values, where(key, "sweep"))
 
 
 def build_model(cfg: ScenarioConfig) -> tuple[HamiltonianModel, object]:
@@ -208,12 +249,7 @@ def build_model(cfg: ScenarioConfig) -> tuple[HamiltonianModel, object]:
     name = cfg.model_name
 
     def need(key, cast=float):
-        if key not in params:
-            raise ConfigError(f"missing field '{key}' in section [model] for {name}")
-        try:
-            return cast(params[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field '{key}' in [model]: cannot parse {params[key]!r}") from exc
+        return _finite(_get(params, key, cast, where="model"), f"field '{key}' in [model]")
 
     try:
         if name == "rotating_spin":
@@ -228,43 +264,48 @@ def build_model(cfg: ScenarioConfig) -> tuple[HamiltonianModel, object]:
             curve = BlochCurveModel(
                 theta=_parse_scalar_descriptor(params, "theta", "model"),
                 phi=_parse_scalar_descriptor(params, "phi", "model"),
-                A=SmoothScalar.constant(float(params.get("a", 0.0))),
-                B=SmoothScalar.constant(float(params.get("b", 1.0))),
+                A=SmoothScalar.constant(need("a") if "a" in params else 0.0),
+                B=SmoothScalar.constant(need("b") if "b" in params else 1.0),
             )
             return bloch_curve(curve), None
         if name == "fourier":
-            import json
-
             dim = need("dim", int)
-            terms = []
-            for key in sorted(k for k in params if k.startswith("term")):
-                term_spec = json.loads(params[key])
-                matrix = term_spec["matrix"]
-                if isinstance(matrix, str):
-                    if matrix not in _PAULI:
-                        raise ConfigError(
-                            f"field '{key}' in [model]: unknown matrix name {matrix!r}"
-                        )
-                    matrix = _PAULI[matrix]
-                else:
-                    matrix = np.array(
-                        [[complex(c[0], c[1]) if isinstance(c, list) else complex(c) for c in row]
-                         for row in matrix]
-                    )
-                terms.append(
-                    FourierTerm(
-                        matrix=np.asarray(matrix, dtype=complex),
-                        omega=float(term_spec.get("omega", 0.0)),
-                        amplitude=float(term_spec.get("amplitude", 1.0)),
-                        phase=float(term_spec.get("phase", 0.0)),
-                    )
-                )
+            terms = [_parse_term(key, params[key]) for key in sorted(params) if key.startswith("term")]
             return fourier_nlevel(dim, terms), None
     except QgplabError:
         raise
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"section [model]: {exc}") from exc
     raise ConfigError(f"field 'name' in [model]: unknown model {cfg.model_name!r}")
+
+
+def _parse_term(key: str, raw: str) -> FourierTerm:
+    """A ``term*`` field: a JSON object with a ``matrix`` (a Pauli name, or
+    rows of numbers or [re, im] pairs) and optional omega, amplitude, phase."""
+    import json
+
+    where = f"field '{key}' in [model]"
+    try:
+        spec = json.loads(raw)
+        matrix = spec["matrix"]
+        if not isinstance(matrix, str):
+            matrix = np.array(
+                [[complex(*c) if isinstance(c, list) and len(c) == 2 else complex(c) for c in row]
+                 for row in matrix]
+            )
+        elif matrix in _PAULI:
+            matrix = _PAULI[matrix]
+        else:
+            raise ConfigError(f"{where}: unknown matrix name {matrix!r}")
+        numbers = {
+            name: float(spec.get(name, default))
+            for name, default in (("omega", 0.0), ("amplitude", 1.0), ("phase", 0.0))
+        }
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigError(f"{where}: cannot parse {raw!r} as a term object") from exc
+    for name, value in (("matrix", matrix), *numbers.items()):
+        _finite(value, f"{where} ({name})")
+    return FourierTerm(matrix=np.asarray(matrix, dtype=complex), **numbers)
 
 
 class ScenarioRun:

@@ -73,11 +73,7 @@ class ConditionReport:
     tau_at_max_new: float
     traditional_pass: bool
     new_pass: bool
-
-    @property
-    def new_threshold(self) -> float:
-        n = len(self.pairs) + 1
-        return self.delta_threshold / math.sqrt(n - 1)
+    new_threshold: float    # delta / sqrt(N - 1)
 
     @property
     def probability_floor(self) -> float:
@@ -180,6 +176,7 @@ def condition_report(
         tau_at_max_new=tau_new,
         traditional_pass=bool(max_trad <= traditional_threshold),
         new_pass=bool(max_new <= new_threshold),
+        new_threshold=new_threshold,
     )
 
 
@@ -188,8 +185,8 @@ def condition_report(
 # ---------------------------------------------------------------------------
 
 
-def rrcp_check(theta_dots: np.ndarray, tol: float = 1e-8) -> tuple[bool, np.ndarray]:
-    """Check theta_dot_nl + theta_dot_lm = theta_dot_nm for all triples.
+def rrcp_check(theta_dots: np.ndarray) -> tuple[bool, np.ndarray]:
+    """Check theta_dot_nl + theta_dot_lm = theta_dot_nm for all triples to 1e-8.
 
     Holds iff theta_dot_mn = omega_m - omega_n for some vector omega; the
     recovered omega (gauge-fixed by omega_N = 0) is returned either way.
@@ -197,13 +194,11 @@ def rrcp_check(theta_dots: np.ndarray, tol: float = 1e-8) -> tuple[bool, np.ndar
     td = np.asarray(theta_dots, dtype=float)
     if td.ndim != 2 or td.shape[0] != td.shape[1]:
         raise ValueError("theta_dots must be a square matrix")
-    if np.max(np.abs(td + td.T)) > tol:
-        raise NotAntisymmetricError(
-            f"theta_dot is not antisymmetric within {tol:g}"
-        )
+    if np.max(np.abs(td + td.T)) > 1e-8:
+        raise NotAntisymmetricError("theta_dot is not antisymmetric within 1e-08")
     omega = td[:, -1].copy()  # omega_m = theta_dot_m,N with omega_N = 0
     triple = td[:, :, None] + td[None, :, :] - td[:, None, :]
-    ok = bool(np.max(np.abs(triple)) <= tol)
+    ok = bool(np.max(np.abs(triple)) <= 1e-8)
     return ok, omega
 
 

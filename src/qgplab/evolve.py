@@ -57,10 +57,6 @@ class EvolutionResult:
     max_norm_drift: float
     refinements: int
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 @dataclass(frozen=True, eq=False)
 class StepRule:
@@ -133,6 +129,9 @@ def _propagate_fixed(
 #: refinement aborts once a single pass would exceed this many substeps
 _MAX_TOTAL_SUBSTEPS = 1 << 25
 
+#: step halvings before the refinement gives up
+_MAX_REFINEMENTS = 24
+
 
 def _adaptive_states(
     sample_h, psi0: np.ndarray, grid: TimeGrid, tol: float, max_refinements: int
@@ -180,7 +179,7 @@ def evolve_schrodinger(
     psi0: np.ndarray,
     grid: TimeGrid,
     tol: float = 1e-9,
-    max_refinements: int = 24,
+    max_refinements: int = _MAX_REFINEMENTS,
 ) -> EvolutionResult:
     """Integrate i dpsi/dtau = h(tau) psi from the first grid sample."""
     if not tol > 0:
@@ -206,23 +205,6 @@ def schrodinger_fixed_step(
     return _propagate_fixed(model.sample, require_state(psi0), grid.samples, substeps, rule)
 
 
-@dataclass(frozen=True, eq=False)
-class CouplingMatrixM:
-    """M(tau)_mn = |gamma_mn| e^{i theta_mn} with an exactly zero diagonal.
-
-    Pairs whose coupling vanishes identically on the grid are stored as
-    zero (no transition channel); a coupling that vanishes only somewhere
-    raises UndefinedArg, because theta cannot be unwrapped through a zero.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-
 def _coupling_pairs(frame: SpectralFrame) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
     """(m, n, |gamma_mn|, unwrapped theta_mn) for each m < n with a coupling.
 
@@ -244,26 +226,19 @@ def _coupling_pairs(frame: SpectralFrame) -> list[tuple[int, int, np.ndarray, np
     return pairs
 
 
-def coupling_matrix(frame: SpectralFrame) -> CouplingMatrixM:
-    values = np.zeros((frame.n_samples, frame.dim, frame.dim), dtype=complex)
-    for m, n, magnitude, theta in _coupling_pairs(frame):
-        values[:, m, n] = magnitude * np.exp(1j * theta)
-        values[:, n, m] = np.conjugate(values[:, m, n])
-    return CouplingMatrixM(grid=frame.grid, values=values)
-
-
 def evolve_coefficients(
     frame: SpectralFrame,
     c0: np.ndarray,
     tol: float = 1e-9,
-    max_refinements: int = 24,
 ) -> EvolutionResult:
     """Integrate c' = i M(tau) c on the frame grid (generator -M, Hermitian).
 
-    Between frame samples, |gamma_mn| and the unwrapped theta_mn are
-    interpolated linearly and recombined, which is exact whenever the phase
-    rate is constant and avoids the |theta_dot|^2 error of interpolating the
-    complex M directly.
+    M_mn = |gamma_mn| e^{i theta_mn} for each pair of ``_coupling_pairs``,
+    M_nm = conj(M_mn), and zero elsewhere, the diagonal included.  Between
+    frame samples, |gamma_mn| and the unwrapped theta_mn are interpolated
+    linearly and recombined, which is exact whenever the phase rate is
+    constant and avoids the |theta_dot|^2 error of interpolating the complex
+    M directly.
     """
     c0 = require_state(c0)
     if c0.size != frame.dim:
@@ -284,7 +259,7 @@ def evolve_coefficients(
         return -out
 
     states, substeps, refinements = _adaptive_states(
-        sample_generator, c0, frame.grid, tol, max_refinements
+        sample_generator, c0, frame.grid, tol, _MAX_REFINEMENTS
     )
     return _result(frame.grid, states, "coefficients", substeps, refinements)
 

@@ -76,25 +76,8 @@ class TimeGrid:
         return cls(np.linspace(tau_start, tau_end, n))
 
     @property
-    def tau_start(self) -> float:
-        return float(self.samples[0])
-
-    @property
-    def tau_end(self) -> float:
-        return float(self.samples[-1])
-
-    @property
     def n(self) -> int:
         return int(self.samples.size)
-
-    @property
-    def step(self) -> float:
-        """Leading step; equals every step for uniform grids."""
-        return float(self.samples[1] - self.samples[0])
-
-    @property
-    def is_uniform(self) -> bool:
-        return numerics._is_uniform(self.samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,37 +195,22 @@ def build_frame(
     """Construct the gauge-continuous eigenframe of ``model`` on ``grid``."""
     mode = _resolve_gamma_mode(model, gamma_mode)
     taus = grid.samples
+    delta, min_overlap = None, 1.0
 
     if mode == "analytic_frame":
         energies, vectors, gamma = model.analytic_frame.frame_at(taus)
-        delta = (
-            model.analytic_frame.delta_at(taus)
-            if model.analytic_frame.delta_at is not None
-            else None
-        )
-        min_gap = _pairwise_min_gap(energies)
-        if min_gap < GAP_FLOOR:
-            raise GapClosureError(f"min gap {min_gap:.3e} below floor {GAP_FLOOR:.3e}")
-        return SpectralFrame(
-            grid=grid,
-            energies=energies,
-            vectors=vectors,
-            gamma=gamma,
-            min_gap=min_gap,
-            gamma_mode=mode,
-            model=model,
-            delta_analytic=delta,
-        )
-
-    energies, vectors = eigh_batch(model.sample(taus))
-    energies, vectors, min_overlap = _track_levels(energies, vectors)
-    if min_overlap < 0.99:
-        warnings.warn(
-            f"level-tracking overlap dropped to {min_overlap:.4f} (< 0.99); "
-            "consider a finer grid",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        if model.analytic_frame.delta_at is not None:
+            delta = model.analytic_frame.delta_at(taus)
+    else:
+        energies, vectors = eigh_batch(model.sample(taus))
+        energies, vectors, min_overlap = _track_levels(energies, vectors)
+        if min_overlap < 0.99:
+            warnings.warn(
+                f"level-tracking overlap dropped to {min_overlap:.4f} (< 0.99); "
+                "consider a finer grid",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
     min_gap = _pairwise_min_gap(energies)
     if min_gap < GAP_FLOOR:
@@ -258,7 +226,7 @@ def build_frame(
         diag = 1j * np.einsum("kin,kin->kn", vectors.conj(), dvec)
         idx = np.arange(model.dim)
         gamma[:, idx, idx] = diag
-    else:
+    elif mode == "finite_difference":
         dvec = numerics.derivative_series(vectors, taus)
         gamma = 1j * (dagger(vectors) @ dvec)
 
@@ -270,6 +238,7 @@ def build_frame(
         min_gap=min_gap,
         gamma_mode=mode,
         model=model,
+        delta_analytic=delta,
         min_overlap=min_overlap,
     )
 

@@ -35,9 +35,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-#: Relative gap below which eigh flags a spectrum as degenerate.
-DEGENERACY_RTOL = 1e-10
-
 #: matrices per block of the N > 2 batched exponential (bounds its temporaries)
 EXPM_BLOCK = 1024
 
@@ -102,31 +99,21 @@ def require_hermitian(h: np.ndarray) -> np.ndarray:
     return 0.5 * (h + dagger(h))
 
 
-def require_state(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate that psi is a unit vector within ``tol``."""
+def require_state(psi: np.ndarray) -> np.ndarray:
+    """Validate that psi is a unit vector within 1e-12."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > tol:
-        raise ValueError(f"state norm {nrm!r} deviates from 1 by more than {tol}")
+    if abs(nrm - 1.0) > 1e-12:
+        raise ValueError(f"state norm {nrm!r} deviates from 1 by more than 1e-12")
     return psi
 
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Instantaneous eigensystem: ascending eigenvalues, orthonormal columns.
-
-    ``degenerate`` is True when some gap is below DEGENERACY_RTOL times the
-    spectral radius; eigh permits this but downstream frame building rejects
-    it via its own gap floor.
-    """
+    """Instantaneous eigensystem: ascending eigenvalues, orthonormal columns."""
 
     values: np.ndarray
     vectors: np.ndarray
-    degenerate: bool
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
 
 
 def eigh(h: np.ndarray) -> EigenSystem:
@@ -140,10 +127,7 @@ def eigh(h: np.ndarray) -> EigenSystem:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
-    radius = max(float(np.max(np.abs(values))), 1.0)
-    gaps = np.diff(values)
-    degenerate = bool(values.size > 1 and np.min(gaps) < DEGENERACY_RTOL * radius)
-    return EigenSystem(values=values, vectors=vectors, degenerate=degenerate)
+    return EigenSystem(values=values, vectors=vectors)
 
 
 def eigh_batch(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

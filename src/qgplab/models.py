@@ -4,7 +4,7 @@ A model bundles the matrix-valued function h(tau), sampled on whole arrays of
 tau, with, when available, its analytic time derivative (also batched) and a
 closed-form eigenframe (energies, eigenvectors, non-adiabatic coupling
 matrix, and the geometric gap correction).  All models are constructed
-already dimensionless; ``dimensionless`` rescales a raw one.
+already dimensionless.
 
 Built-in models:
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .errors import GapClosureError, InvalidParamsError, NotHermitianError
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
+from .linalg import SIGMA_X, SIGMA_Z
 
 # Step used when a scalar's derivative has to fall back to finite differences.
 _FD_STEP = 1e-5
@@ -148,23 +148,15 @@ class HamiltonianModel:
         return self.sample(np.array([tau]))[0]
 
 
-def dimensionless(model: HamiltonianModel, level: int = 0) -> HamiltonianModel:
-    """Divide a raw model by |e_level(0)|, recording the scale in the label."""
-    system = linalg.eigh(model.evaluate(0.0))
-    scale = abs(float(system.values[level]))
-    if scale == 0.0:
-        raise InvalidParamsError("initial eigenvalue is zero; cannot rescale")
-    inv = 1.0 / scale
-
-    def scaled(f):
-        return (lambda tau, f=f: inv * f(tau)) if f is not None else None
-
-    return HamiltonianModel(
-        dim=model.dim,
-        label=f"{model.label}/scale={scale:.12g}",
-        evaluate_batch=scaled(model.evaluate_batch),
-        derivative_batch=scaled(model.derivative_batch),
-    )
+def _hermitian_2x2(z, upper, lower, a=None) -> np.ndarray:
+    """(K, 2, 2) stack [[a + z, upper], [lower, a - z]]; without ``a`` the
+    diagonal is (z, -z)."""
+    out = np.empty(np.shape(upper) + (2, 2), dtype=complex)
+    out[:, 0, 0] = z if a is None else a + z
+    out[:, 1, 1] = -z if a is None else a - z
+    out[:, 0, 1] = upper
+    out[:, 1, 0] = lower
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +169,8 @@ class RotatingSpinParams:
     """Parameters of the rotating spin-1/2 model (all dimensionless).
 
     ``eta`` and ``xi`` are the static/rotating field strengths, ``K`` the
-    sweep-rate multiplier.  ``normalized`` rescales (eta, xi) onto the unit
-    circle so the instantaneous eigenvalues are exactly +-1.
+    sweep-rate multiplier; the instantaneous eigenvalues are
+    +-sqrt(eta^2 + xi^2).
     """
 
     eta: float
@@ -190,13 +182,6 @@ class RotatingSpinParams:
             raise InvalidParamsError("rotating spin requires eta > 0 and xi > 0")
         if not all(math.isfinite(v) for v in (self.eta, self.xi, self.K)):
             raise InvalidParamsError("rotating spin parameters must be finite")
-
-    @classmethod
-    def normalized(cls, eta: float, xi: float, K: float) -> "RotatingSpinParams":
-        scale = math.hypot(eta, xi)
-        if scale == 0:
-            raise InvalidParamsError("eta and xi cannot both vanish")
-        return cls(eta=eta / scale, xi=xi / scale, K=K)
 
     @property
     def energy(self) -> float:
@@ -234,23 +219,13 @@ def rotating_spin(params: RotatingSpinParams) -> HamiltonianModel:
 
     def evaluate_batch(taus):
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        phase = omega * taus
-        h = np.zeros((taus.size, 2, 2), dtype=complex)
-        off = xi * np.exp(-1j * phase)  # xi*(cos - i sin) couples |0><1|
-        h[:, 0, 0] = eta
-        h[:, 1, 1] = -eta
-        h[:, 0, 1] = off
-        h[:, 1, 0] = np.conjugate(off)
-        return h
+        off = xi * np.exp(-1j * (omega * taus))  # xi*(cos - i sin) couples |0><1|
+        return _hermitian_2x2(eta, off, np.conjugate(off))
 
     def derivative_batch(taus):
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        phase = omega * taus
-        dh = np.zeros((taus.size, 2, 2), dtype=complex)
-        doff = -1j * omega * xi * np.exp(-1j * phase)
-        dh[:, 0, 1] = doff
-        dh[:, 1, 0] = np.conjugate(doff)
-        return dh
+        doff = -1j * omega * xi * np.exp(-1j * (omega * taus))
+        return _hermitian_2x2(0.0, doff, np.conjugate(doff), a=0.0)  # diagonal +0.0
 
     half = 0.5 * math.acos(params.cos_theta)
     c, s = math.cos(half), math.sin(half)
@@ -302,8 +277,8 @@ def rotating_spin(params: RotatingSpinParams) -> HamiltonianModel:
 class RobustModelParams:
     """Parameters of the robust 2-level model.
 
-    Regime flags (strong static field, weak wobble) use the >= 10 threshold;
-    the occupation-floor statements only hold in-regime.  The mixed-frequency
+    The occupation-floor statements only hold for a strong static field and
+    a weak wobble (eta0/eta and eta0/eta1 >= 10).  The mixed-frequency
     radicand eta*eta0 + eta*eta2 + eta2*eta1 must be nonnegative for the
     closed-form probability to be real.
     """
@@ -325,14 +300,6 @@ class RobustModelParams:
             )
 
     @property
-    def strong_static(self) -> bool:
-        return self.eta != 0 and self.eta0 / self.eta >= 10.0
-
-    @property
-    def weak_wobble(self) -> bool:
-        return self.eta1 != 0 and self.eta0 / self.eta1 >= 10.0
-
-    @property
     def eta_bar(self) -> float:
         """sqrt(eta1^2 + (eta0 + eta2)^2)."""
         return math.hypot(self.eta1, self.eta0 + self.eta2)
@@ -349,12 +316,19 @@ class RobustModelParams:
         return np.sqrt(self.eta0**2 + z * z + y * y)
 
 
+def _robust_trig(p: RobustModelParams, taus: np.ndarray):
+    """cos/sin of 2 eta tau and sin/cos of 2 eta2 tau."""
+    return (
+        np.cos(2 * p.eta * taus),
+        np.sin(2 * p.eta * taus),
+        np.sin(2 * p.eta2 * taus),
+        np.cos(2 * p.eta2 * taus),
+    )
+
+
 def _robust_bloch_components(p: RobustModelParams, taus: np.ndarray):
     """Pauli components of the robust Hamiltonian (closed form)."""
-    c2e = np.cos(2 * p.eta * taus)
-    s2e = np.sin(2 * p.eta * taus)
-    s2f = np.sin(2 * p.eta2 * taus)
-    c2f = np.cos(2 * p.eta2 * taus)
+    c2e, s2e, s2f, c2f = _robust_trig(p, taus)
     hx = p.eta0 * c2e - p.eta1 * s2f * s2e
     hy = p.eta0 * s2e + p.eta1 * s2f * c2e
     hz = p.eta + p.eta1 * c2f
@@ -385,19 +359,11 @@ def robust_model(params: RobustModelParams) -> HamiltonianModel:
     def evaluate_batch(taus):
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         hx, hy, hz = _robust_bloch_components(p, taus)
-        h = np.zeros((taus.size, 2, 2), dtype=complex)
-        h[:, 0, 0] = hz
-        h[:, 1, 1] = -hz
-        h[:, 0, 1] = hx - 1j * hy
-        h[:, 1, 0] = hx + 1j * hy
-        return h
+        return _hermitian_2x2(hz, hx - 1j * hy, hx + 1j * hy)
 
     def derivative_batch(taus):
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        c2e = np.cos(2 * p.eta * taus)
-        s2e = np.sin(2 * p.eta * taus)
-        s2f = np.sin(2 * p.eta2 * taus)
-        c2f = np.cos(2 * p.eta2 * taus)
+        c2e, s2e, s2f, c2f = _robust_trig(p, taus)
         dhx = (
             -2 * p.eta * p.eta0 * s2e
             - 2 * p.eta2 * p.eta1 * c2f * s2e
@@ -409,12 +375,7 @@ def robust_model(params: RobustModelParams) -> HamiltonianModel:
             - 2 * p.eta * p.eta1 * s2f * s2e
         )
         dhz = -2 * p.eta2 * p.eta1 * s2f
-        dh = np.zeros((taus.size, 2, 2), dtype=complex)
-        dh[:, 0, 0] = dhz
-        dh[:, 1, 1] = -dhz
-        dh[:, 0, 1] = dhx - 1j * dhy
-        dh[:, 1, 0] = dhx + 1j * dhy
-        return dh
+        return _hermitian_2x2(dhz, dhx - 1j * dhy, dhx + 1j * dhy)
 
     return HamiltonianModel(
         dim=2,
@@ -440,11 +401,9 @@ def robust_adiabatic_projector(params: RobustModelParams, tau, sign: int) -> np.
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     hx, hy, hz = _robust_bloch_components(params, taus)
     n = params.gap_scale(taus)
-    rho = np.zeros((taus.size, 2, 2), dtype=complex)
-    rho[:, 0, 0] = 0.5 + sign * hz / (2 * n)
-    rho[:, 1, 1] = 0.5 - sign * hz / (2 * n)
-    rho[:, 0, 1] = sign * (hx - 1j * hy) / (2 * n)
-    rho[:, 1, 0] = sign * (hx + 1j * hy) / (2 * n)
+    rho = _hermitian_2x2(
+        sign * hz / (2 * n), sign * (hx - 1j * hy) / (2 * n), sign * (hx + 1j * hy) / (2 * n), a=0.5
+    )
     return rho if np.ndim(tau) else rho[0]
 
 
@@ -520,12 +479,7 @@ def bloch_curve(curve: BlochCurveModel) -> HamiltonianModel:
         nx = np.sin(th) * np.cos(ph)
         ny = np.sin(th) * np.sin(ph)
         nz = np.cos(th)
-        h = np.zeros((taus.size, 2, 2), dtype=complex)
-        h[:, 0, 0] = a + b * nz
-        h[:, 1, 1] = a - b * nz
-        h[:, 0, 1] = b * (nx - 1j * ny)
-        h[:, 1, 0] = b * (nx + 1j * ny)
-        return h
+        return _hermitian_2x2(b * nz, b * (nx - 1j * ny), b * (nx + 1j * ny), a=a)
 
     derivative_batch = None
     analytic = None
@@ -545,12 +499,7 @@ def bloch_curve(curve: BlochCurveModel) -> HamiltonianModel:
             bx = bd * nx + b * dnx
             by = bd * ny + b * dny
             bz = bd * nz + b * dnz
-            dh = np.zeros((taus.size, 2, 2), dtype=complex)
-            dh[:, 0, 0] = ad + bz
-            dh[:, 1, 1] = ad - bz
-            dh[:, 0, 1] = bx - 1j * by
-            dh[:, 1, 0] = bx + 1j * by
-            return dh
+            return _hermitian_2x2(bz, bx - 1j * by, bx + 1j * by, a=ad)
 
         def frame_at(taus):
             taus = np.atleast_1d(np.asarray(taus, dtype=float))
@@ -564,8 +513,8 @@ def bloch_curve(curve: BlochCurveModel) -> HamiltonianModel:
             vectors[:, 1, 0] = -c * eip
             vectors[:, 0, 1] = c
             vectors[:, 1, 1] = s * eip
-            td, pd = curve.theta.d1(taus), curve.phi.d1(taus)
-            g_mp = 0.5 * (pd * np.sin(th) - 1j * td)  # gamma_{-+}
+            pd = curve.phi.d1(taus)
+            g_mp = bloch_coupling(curve, taus)  # gamma_{-+}
             gamma = np.zeros((taus.size, 2, 2), dtype=complex)
             gamma[:, 1, 1] = -pd * s * s  # gamma_{++}
             gamma[:, 0, 0] = -pd * c * c  # gamma_{--}

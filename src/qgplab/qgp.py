@@ -208,22 +208,19 @@ class BerryDifference:
     masked: bool
 
 
-def berry_difference(
-    frame: SpectralFrame,
-    m: int,
-    n: int,
-    closure_tol: float = 1e-10,
-    identity_tol: float = 1e-5,
-    winding_tol: float = 0.05,
-) -> BerryDifference:
-    """Check integral of Delta_mn over a closed loop against Berry phases."""
+def berry_difference(frame: SpectralFrame, m: int, n: int) -> BerryDifference:
+    """Check integral of Delta_mn over a closed loop against Berry phases.
+
+    The loop must close to 1e-10 relative to max|h|, the coupling winding
+    must be within 0.05 of an integer, and the identity must hold to 1e-5.
+    """
     if frame.model is None:
         raise NotClosedError("frame carries no model; cannot verify closure")
     taus = frame.grid.samples
     h0 = frame.model.evaluate(float(taus[0]))
     h1 = frame.model.evaluate(float(taus[-1]))
     scale = max(max_abs(h0), 1.0)
-    if max_abs(h1 - h0) > closure_tol * scale:
+    if max_abs(h1 - h0) > 1e-10 * scale:
         raise NotClosedError(
             f"h(tau_end) differs from h(tau_start) by {max_abs(h1 - h0):.3e}"
         )
@@ -258,16 +255,15 @@ def berry_difference(
     arg, _ = numerics.unwrap_angles(np.angle(frame.gamma[:, n, m]))
     winding_raw = (arg[-1] - arg[0] - (beta_m - beta_n)) / (2.0 * np.pi)
     winding = int(np.round(winding_raw))
-    if abs(winding_raw - winding) > winding_tol:
+    if abs(winding_raw - winding) > 0.05:
         raise InvariantViolationError(
             f"coupling winding {winding_raw:.4f} is not an integer"
         )
     integral_delta = numerics.trapezoid(series.delta, taus)
     residual = integral_delta - (berry_m - berry_n) - 2.0 * np.pi * winding
-    if abs(residual) > identity_tol:
+    if abs(residual) > 1e-5:
         raise InvariantViolationError(
-            f"Berry-difference identity residual {residual:.3e} exceeds "
-            f"{identity_tol:g}"
+            f"Berry-difference identity residual {residual:.3e} exceeds 1e-05"
         )
     return BerryDifference(
         integral_delta=integral_delta,
@@ -294,8 +290,9 @@ class ReparamMap:
     def forward(self, tau) -> np.ndarray:
         return self.f.value(np.asarray(tau, dtype=float))
 
-    def inverse(self, tau_prime, iterations: int = 60, tol: float = 1e-13) -> np.ndarray:
-        """Invert by monotone-table bracketing plus Newton polish."""
+    def inverse(self, tau_prime) -> np.ndarray:
+        """Invert by monotone-table bracketing plus at most 60 Newton steps,
+        stopping once every step is below 1e-13."""
         tp = np.asarray(tau_prime, dtype=float)
         lo, hi = self.domain
         table_x = np.linspace(lo, hi, 4097)
@@ -303,12 +300,12 @@ class ReparamMap:
         if np.any(np.diff(table_f) <= 0):
             raise DegenerateCouplingError("time map is not strictly increasing")
         x = np.interp(tp, table_f, table_x)
-        for _ in range(iterations):
+        for _ in range(60):
             resid = self.f.value(x) - tp
             slope = self.f.d1(x)
             step = resid / slope
             x = np.clip(x - step, lo, hi)
-            if np.max(np.abs(step)) < tol:
+            if np.max(np.abs(step)) < 1e-13:
                 break
         return x
 
@@ -370,7 +367,6 @@ def reparametrize_flat(
     model: HamiltonianModel,
     interval: tuple[float, float],
     samples: int = 4097,
-    gamma_mode: str = "auto",
 ) -> FlatReparamResult:
     """Flatten e_- - e_+ + Delta_+- to a constant by a monotone time map.
 
@@ -389,7 +385,7 @@ def reparametrize_flat(
     if b < a:
         raise ValueError("interval must be ordered")
     grid = TimeGrid.uniform(a, b, samples)
-    frame = build_frame(model, grid, gamma_mode=gamma_mode)
+    frame = build_frame(model, grid)
     if frame.dim != 2:
         raise ValueError("flat reparametrization is defined for 2-level models")
     series = qgp(frame, 1, 0)
@@ -433,12 +429,10 @@ def reparam_invariance_check(
     model: HamiltonianModel,
     interval: tuple[float, float],
     rmap: ReparamMap,
-    m: int = 1,
-    n: int = 0,
     samples: int = 4097,
     gamma_mode: str = "auto",
 ) -> float:
-    """max |(Delta/|gamma|)(tau) - (Delta'/|gamma'|)(f(tau))| over the grid.
+    """max |(Delta_10/|gamma_10|)(tau) - (Delta'_10/|gamma'_10|)(f(tau))| on the grid.
 
     The reparametrized frame is rebuilt from scratch on the image grid, so
     the check exercises the whole numeric pipeline, not the scaling law.
@@ -446,12 +440,12 @@ def reparam_invariance_check(
     a, b = float(interval[0]), float(interval[1])
     grid = TimeGrid.uniform(a, b, samples)
     frame = build_frame(model, grid, gamma_mode=gamma_mode)
-    series = qgp(frame, m, n)
+    series = qgp(frame, 1, 0)
 
     image = rmap.forward(grid.samples)
     new_model = reparametrized_model(model, rmap)
     new_frame = build_frame(new_model, TimeGrid(image), gamma_mode=gamma_mode)
-    new_series = qgp(new_frame, m, n)
+    new_series = qgp(new_frame, 1, 0)
 
     both = series.valid & new_series.valid
     if not both.any():

@@ -16,6 +16,9 @@ import numpy as np
 #: rows formatted per ``%`` operation in ``write_csv``
 _CSV_BLOCK_ROWS = 256
 
+#: width and height of ``write_svg_curves`` drawings, in pixels
+_SVG_SIZE = 640
+
 
 def format_float(x: float) -> str:
     return f"{float(x):.17g}"
@@ -61,7 +64,6 @@ def write_svg_curves(
     path: str,
     curves: Iterable[tuple[np.ndarray, str, float, str]],
     title: str,
-    size: int = 640,
 ) -> None:
     """Polyline plot of 2D curves: (points (K, 2), color, width, label)."""
     curves = list(curves)
@@ -69,17 +71,17 @@ def write_svg_curves(
     lo = allpts.min(axis=0)
     hi = allpts.max(axis=0)
     span = np.maximum(hi - lo, 1e-12)
-    margin = 0.08 * size
-    scale = (size - 2 * margin) / np.max(span)
+    margin = 0.08 * _SVG_SIZE
+    scale = (_SVG_SIZE - 2 * margin) / np.max(span)
 
     def to_pixels(pts: np.ndarray) -> np.ndarray:
         return margin + (pts - lo) * scale
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-        f'<text x="{size // 2}" y="24" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
+        f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>',
+        f'<text x="{_SVG_SIZE // 2}" y="24" text-anchor="middle" '
         f'font-family="monospace" font-size="14">{title}</text>',
     ]
     legend_y = 44

@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +43,41 @@ level = lower
 [output]
 dir = {out}
 """
+
+BLOCH_CONFIG = """
+[model]
+name = bloch_curve
+theta_type = poly
+theta_coeffs = 1.0,0.2
+phi_type = poly
+phi_coeffs = 0.0,1.0
+
+[run]
+tau_end = 1.0
+samples = 128
+
+[output]
+dir = {out}
+"""
+
+
+def base_config(name, out):
+    """A valid config text of the rotating-spin, Fourier or Bloch-curve model."""
+    if name == "rotating":
+        return ROTATING_CONFIG.format(eta=1.0, xi=0.5, k=1.0, tau_end=1.0, samples=256, out=out)
+    return (CONSTANT_CONFIG if name == "fourier" else BLOCH_CONFIG).format(out=out)
+
+
+def add(section, line):
+    """Config damage: ``line`` added to ``section``, which is appended if absent."""
+    header = f"[{section}]\n"
+
+    def damage(text):
+        if header in text:
+            return text.replace(header, header + line + "\n")
+        return text + "\n" + header + line + "\n"
+
+    return damage
 
 
 def read_csv(path):
@@ -492,6 +528,65 @@ class TestInputEdges:
         assert f"field 'outputs' in [output]: unknown {unknown}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,base,damage,message", [
+        ("sweep", "rotating", add("sweep", "etaa = 1.0, 2.0, 3.0"),
+         "field 'etaa' in [sweep]: unknown key (choose from eta, xi, k)"),
+        ("simulate", "rotating", add("run", "sampels = 100000"),
+         "field 'sampels' in [run]: unknown key"),
+        ("conditions", "rotating", add("conditions", "detla = 0.2"),
+         "field 'detla' in [conditions]: unknown key"),
+        ("conditions", "rotating", add("output", "outptus = conditions"),
+         "field 'outptus' in [output]: unknown key"),
+        ("simulate", "rotating", add("model", "kk = 2.0"), "field 'kk' in [model]: unknown key"),
+        ("conditions", "fourier", add("model", "eta = 1.0"),
+         "field 'eta' in [model]: unknown key (choose from name, dim, term*)"),
+        ("conditions", "rotating", add("runs", "samples = 128"), "unknown section [runs]"),
+        ("conditions", "rotating", lambda text: "[DEFAULT]\nsamples = 128\n" + text,
+         "unknown section [DEFAULT]"),
+    ], ids=["sweep", "run", "conditions", "output", "model", "fourier-model", "section",
+            "default-section"])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, command, base, damage, message):
+        path = tmp_path / "unknown.ini"
+        path.write_text(damage(base_config(base, tmp_path / "out")))
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("base,damage,message", [
+        ("bloch", add("model", "b = nan"), "field 'b' in [model]: must be finite"),
+        ("bloch", add("model", "a = inf"), "field 'a' in [model]: must be finite"),
+        ("bloch", lambda text: text.replace("theta_coeffs = 1.0,0.2", "theta_coeffs = nan,0.2"),
+         "field 'theta_coeffs' in [model]: must be finite"),
+        ("fourier", add("model", 'term2 = {"matrix": "sigma_x", "omega": NaN}'),
+         "field 'term2' in [model] (omega): must be finite"),
+        ("fourier", add("model", 'term2 = {"matrix": "sigma_x", "amplitude": Infinity}'),
+         "field 'term2' in [model] (amplitude): must be finite"),
+        ("fourier", add("model", 'term2 = {"matrix": "sigma_x", "phase": NaN}'),
+         "field 'term2' in [model] (phase): must be finite"),
+        ("fourier", add("model", 'term2 = {"matrix": [[0, NaN], [NaN, 0]], "omega": 1.0}'),
+         "field 'term2' in [model] (matrix): must be finite"),
+        ("fourier", add("model", "term2 = [1,2]"), "field 'term2' in [model]: cannot parse"),
+        ("fourier", add("model", 'term2 = {"matrix": [[[1, 0, 5], 0], [0, 1]]}'),
+         "field 'term2' in [model]: cannot parse"),
+    ], ids=["b-nan", "a-inf", "coeffs-nan", "omega-nan", "amplitude-inf", "phase-nan",
+            "matrix-nan", "term-not-object", "entry-not-a-pair"])
+    def test_bad_model_param_exits_2(self, tmp_path, capsys, base, damage, message):
+        path = tmp_path / "model.ini"
+        path.write_text(damage(base_config(base, tmp_path / "out")))
+        assert cli.main(["conditions", "--config", str(path)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_ini_example_is_accepted(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        [block] = [part.split("```")[0] for part in readme.split("```ini\n")[1:]]
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        cfg = cli.parse_config(str(path))
+        cli._validate(cfg, {})
+        run = cli.ScenarioRun(cfg)
+        assert (run.model.dim, cfg.level, list(cfg.sweep)) == (2, 1, ["k"])
+
     @pytest.fixture
     def regular_file(self, tmp_path):
         path = tmp_path / "F"
@@ -506,9 +601,10 @@ class TestInputEdges:
 
     @pytest.mark.parametrize("command", ["simulate", "conditions", "sweep", "figure1"])
     def test_out_below_a_regular_file_exits_2(self, tmp_path, capsys, regular_file, command):
-        config = tmp_path / "const.ini"
-        config.write_text(CONSTANT_CONFIG.format(out=tmp_path / "unused")
-                          + "\n[sweep]\na = 1.0\n")
+        config = tmp_path / "rotating.ini"
+        config.write_text(ROTATING_CONFIG.format(
+            eta=1.0, xi=0.5, k=1.0, tau_end=1.0, samples=256, out=tmp_path / "unused",
+        ) + "\n[sweep]\nk = 1.0\n")
         target = regular_file / "sub"
         args = ["--out", str(target)] + (["--grid", "64"] if command == "figure1" else
                                          ["--config", str(config)])

@@ -6,7 +6,7 @@ from qgplab import evolve, metrics, models
 from qgplab.errors import StepUnderflowError, UndefinedArgError
 from qgplab.evolve import (
     CF4,
-    coupling_matrix,
+    _coupling_pairs,
     evolve_coefficients,
     evolve_exact_constant,
     evolve_schrodinger,
@@ -41,7 +41,7 @@ class TestSchrodinger:
         grid = TimeGrid.uniform(0.0, np.pi, 257)
         psi0 = np.array([1.0, 0.0], dtype=complex)
         result = evolve_schrodinger(model, psi0, grid, tol=1e-12)
-        np.testing.assert_allclose(result.final_state, np.exp(-1j * np.pi) * psi0, atol=1e-10)
+        np.testing.assert_allclose(result.states[-1], np.exp(-1j * np.pi) * psi0, atol=1e-10)
 
     def test_unitarity_over_4096_steps(self, regime_unfaithful):
         model = rotating_spin(regime_unfaithful)
@@ -140,11 +140,25 @@ class TestSchrodinger:
             evolve_schrodinger(model, np.array([1.0, 0.0], dtype=complex), grid, tol=tol)
 
 
+def coupling_matrix(frame, monkeypatch):
+    """M(tau) that ``evolve_coefficients`` integrates, sampled on the frame grid."""
+    generators = []
+    adaptive = evolve._adaptive_states
+
+    def spy(sample_h, *args):
+        generators.append(sample_h)
+        return adaptive(sample_h, *args)
+
+    monkeypatch.setattr(evolve, "_adaptive_states", spy)
+    evolve_coefficients(frame, np.eye(frame.dim, dtype=complex)[0])
+    return -generators[0](frame.grid.samples)
+
+
 class TestCouplingMatrix:
-    def test_constant_model_zero(self):
+    def test_constant_model_zero(self, monkeypatch):
         frame = build_frame(constant_model(SIGMA_Z), TimeGrid.uniform(0.0, 1.0, 65))
-        m = coupling_matrix(frame)
-        assert np.max(np.abs(m.values)) == 0.0
+        assert _coupling_pairs(frame) == []
+        assert np.max(np.abs(coupling_matrix(frame, monkeypatch))) == 0.0
 
     def test_theta_antisymmetry(self):
         model = rotating_spin(RotatingSpinParams(eta=1.0, xi=0.5, K=1.0))
@@ -154,20 +168,23 @@ class TestCouplingMatrix:
         folded = np.mod(t01 + t10 + np.pi, 2.0 * np.pi) - np.pi
         assert np.max(np.abs(folded)) < 1e-8
 
-    def test_hermitian_with_zero_diagonal(self):
+    def test_hermitian_with_zero_diagonal(self, monkeypatch):
         model = rotating_spin(RotatingSpinParams(eta=1.0, xi=0.5, K=1.0))
         frame = build_frame(model, TimeGrid.uniform(0.0, 5.0, 1025), gamma_mode="analytic_frame")
-        m = coupling_matrix(frame).values
+        m = coupling_matrix(frame, monkeypatch)
         assert np.all(m[:, 0, 0] == 0) and np.all(m[:, 1, 1] == 0)
         np.testing.assert_allclose(m, np.conjugate(np.swapaxes(m, 1, 2)), atol=1e-12)
 
-    def test_rotating_magnitude_constant(self):
+    def test_rotating_magnitude_constant(self, monkeypatch):
         params = RotatingSpinParams(eta=1.0, xi=0.5, K=1.0)
         frame = build_frame(
             rotating_spin(params), TimeGrid.uniform(0.0, 5.0, 1025), gamma_mode="analytic_frame"
         )
-        m = coupling_matrix(frame).values
-        np.testing.assert_allclose(np.abs(m[:, 1, 0]), params.coupling_abs, atol=1e-12)
+        [(m, n, magnitude, _)] = _coupling_pairs(frame)
+        assert (m, n) == (0, 1)
+        np.testing.assert_allclose(magnitude, params.coupling_abs, atol=1e-12)
+        matrix = coupling_matrix(frame, monkeypatch)
+        np.testing.assert_allclose(np.abs(matrix[:, 1, 0]), params.coupling_abs, atol=1e-12)
 
     def test_partial_zero_coupling_rejected(self):
         curve = BlochCurveModel(
@@ -177,7 +194,7 @@ class TestCouplingMatrix:
             bloch_curve(curve), TimeGrid.uniform(0.0, 1.0, 257), gamma_mode="analytic_frame"
         )
         with pytest.raises(UndefinedArgError):
-            coupling_matrix(frame)
+            _coupling_pairs(frame)
 
     def test_partial_zero_coupling_rejected_by_coefficients(self):
         curve = BlochCurveModel(
@@ -263,4 +280,4 @@ class TestExactConstant:
         direct = evolve_exact_constant(h, psi0, tau)
         grid = TimeGrid.uniform(0.0, tau, 257)
         stepped = evolve_schrodinger(constant_model(h), psi0, grid, tol=1e-11)
-        np.testing.assert_allclose(stepped.final_state, direct, atol=1e-8)
+        np.testing.assert_allclose(stepped.states[-1], direct, atol=1e-8)

@@ -92,10 +92,6 @@ class TestEigh:
                 expm_unitary(view, 0.3), expm_unitary(view.copy(), 0.3)
             )
 
-    def test_flags_degenerate(self):
-        assert eigh(np.eye(3, dtype=complex)).degenerate
-        assert not eigh(SIGMA_Z).degenerate
-
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 8))
     def test_reconstruction_and_trace(self, seed, n):

@@ -61,13 +61,16 @@ _SECTION_KEYS = {
     "output": ("dir", "outputs"),
 }
 
-#: each model's own keys, the ones [model] (besides ``name``) and [sweep] take
+#: each model's own keys, the ones [model] (besides ``name``) takes
 _MODEL_KEYS = {
     "rotating_spin": ("eta", "xi", "k"),
     "robust": ("eta", "eta0", "eta1", "eta2"),
     "bloch_curve": ("theta_type", "theta_coeffs", "phi_type", "phi_coeffs", "a", "b"),
     "fourier": ("dim", "term*"),
 }
+
+#: model keys whose value is not one float; [sweep] takes the others
+_NOT_FLOAT_KEYS = ("theta_type", "theta_coeffs", "phi_type", "phi_coeffs", "dim", "term*")
 
 
 @dataclass
@@ -194,16 +197,23 @@ def _check_keys(sections: dict[str, dict], model_name: str) -> None:
     if model_name not in _MODEL_KEYS:
         raise ConfigError(f"field 'name' in [model]: unknown model {model_name!r}")
     model_keys = _MODEL_KEYS[model_name]
-    allowed = dict(_SECTION_KEYS, model=("name", *model_keys), sweep=model_keys)
+    sweepable = tuple(key for key in model_keys if key not in _NOT_FLOAT_KEYS)
+    allowed = dict(_SECTION_KEYS, model=("name", *model_keys), sweep=sweepable)
     for section, values in sections.items():
         if section not in allowed:
             raise ConfigError(f"unknown section [{section}] (choose from {', '.join(allowed)})")
         for key in values:
-            if not any(fnmatchcase(key, pattern) for pattern in allowed[section]):
+            if any(fnmatchcase(key, pattern) for pattern in allowed[section]):
+                continue
+            if section == "sweep" and any(fnmatchcase(key, p) for p in model_keys):
                 raise ConfigError(
-                    f"field '{key}' in [{section}]: unknown key"
-                    f" (choose from {', '.join(allowed[section])})"
+                    f"field '{key}' in [sweep]: not a float-valued key of {model_name}"
+                    f" (sweepable: {', '.join(sweepable) or 'none'})"
                 )
+            raise ConfigError(
+                f"field '{key}' in [{section}]: unknown key"
+                f" (choose from {', '.join(allowed[section])})"
+            )
 
 
 def _float_list(raw: str) -> list[float]:
@@ -270,6 +280,8 @@ def build_model(cfg: ScenarioConfig) -> tuple[HamiltonianModel, object]:
             return bloch_curve(curve), None
         if name == "fourier":
             dim = need("dim", int)
+            if dim < 2:
+                raise ConfigError(f"field 'dim' in [model]: must be an integer >= 2, got {dim}")
             terms = [_parse_term(key, params[key]) for key in sorted(params) if key.startswith("term")]
             return fourier_nlevel(dim, terms), None
     except QgplabError:

@@ -543,8 +543,17 @@ class TestInputEdges:
         ("conditions", "rotating", add("runs", "samples = 128"), "unknown section [runs]"),
         ("conditions", "rotating", lambda text: "[DEFAULT]\nsamples = 128\n" + text,
          "unknown section [DEFAULT]"),
+        ("sweep", "fourier", add("sweep", "dim = 2"),
+         "field 'dim' in [sweep]: not a float-valued key of fourier (sweepable: none)"),
+        ("sweep", "fourier", add("sweep", "term1 = 1.0"),
+         "field 'term1' in [sweep]: not a float-valued key of fourier"),
+        ("sweep", "bloch", add("sweep", "theta_type = 1.0"),
+         "field 'theta_type' in [sweep]: not a float-valued key of bloch_curve"
+         " (sweepable: a, b)"),
+        ("sweep", "bloch", add("sweep", "theta_coeffs = 0.5, 1.0"),
+         "field 'theta_coeffs' in [sweep]: not a float-valued key of bloch_curve"),
     ], ids=["sweep", "run", "conditions", "output", "model", "fourier-model", "section",
-            "default-section"])
+            "default-section", "sweep-dim", "sweep-term", "sweep-type", "sweep-coeffs"])
     def test_unknown_key_exits_2(self, tmp_path, capsys, command, base, damage, message):
         path = tmp_path / "unknown.ini"
         path.write_text(damage(base_config(base, tmp_path / "out")))
@@ -568,8 +577,17 @@ class TestInputEdges:
         ("fourier", add("model", "term2 = [1,2]"), "field 'term2' in [model]: cannot parse"),
         ("fourier", add("model", 'term2 = {"matrix": [[[1, 0, 5], 0], [0, 1]]}'),
          "field 'term2' in [model]: cannot parse"),
+        ("fourier", lambda text: text.replace("dim = 2", "dim = -1"),
+         "field 'dim' in [model]: must be an integer >= 2, got -1"),
+        ("fourier", lambda text: text.replace("dim = 2", "dim = 1"),
+         "field 'dim' in [model]: must be an integer >= 2, got 1"),
+        ("fourier", lambda text: "".join(
+            line for line in text.replace("dim = 2", "dim = 0").splitlines(keepends=True)
+            if not line.startswith("term1")),
+         "field 'dim' in [model]: must be an integer >= 2, got 0"),
     ], ids=["b-nan", "a-inf", "coeffs-nan", "omega-nan", "amplitude-inf", "phase-nan",
-            "matrix-nan", "term-not-object", "entry-not-a-pair"])
+            "matrix-nan", "term-not-object", "entry-not-a-pair", "dim-negative", "dim-one",
+            "dim-zero-no-terms"])
     def test_bad_model_param_exits_2(self, tmp_path, capsys, base, damage, message):
         path = tmp_path / "model.ini"
         path.write_text(damage(base_config(base, tmp_path / "out")))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from qgplab import evolve, metrics, models
+from qgplab import evolve, linalg, metrics, models
 from qgplab.errors import StepUnderflowError, UndefinedArgError
 from qgplab.evolve import (
     CF4,
@@ -14,7 +14,7 @@ from qgplab.evolve import (
     schrodinger_fixed_step,
 )
 from qgplab.frames import TimeGrid, adiabatic_trajectory, build_frame, theta_series
-from qgplab.linalg import SIGMA_X, SIGMA_Z
+from qgplab.linalg import SIGMA_X, SIGMA_Z, expm_unitary_batch
 from qgplab.models import (
     BlochCurveModel,
     RotatingSpinParams,
@@ -110,6 +110,18 @@ class TestSchrodinger:
         )
         assert result.substeps_per_interval <= 8
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_convergence_trail(self, regime_unfaithful, tol):
+        params = regime_unfaithful
+        model = rotating_spin(params)
+        grid = TimeGrid.uniform(0.0, metrics.rotating_fidelity_period(params), 257)
+        psi0 = build_frame(model, grid, gamma_mode="analytic_frame").vectors[0, :, 1].copy()
+        result = evolve_schrodinger(model, psi0, grid, tol=tol)
+        trail, stop = result.convergence, max(tol, 5e-14)
+        assert isinstance(trail, tuple) and len(trail) == result.refinements >= 2
+        assert trail[-1] <= stop
+        assert all(diff > stop for diff in trail[:-1])
+
     def test_step_underflow(self):
         # h swings on the 1e-13 scale, so refinements over a 2e-12 interval
         # never agree and the minimum-step guard must fire
@@ -138,6 +150,34 @@ class TestSchrodinger:
         grid = TimeGrid.uniform(0.0, 1.0, 3)
         with pytest.raises(ValueError, match="tol"):
             evolve_schrodinger(model, np.array([1.0, 0.0], dtype=complex), grid, tol=tol)
+
+
+def sequential_states(transfers, psi0):
+    """psi_{i+1} = transfers[i] @ psi_i one interval at a time: the scan's oracle."""
+    states = np.empty((transfers.shape[0] + 1, psi0.size), dtype=complex)
+    states[0] = psi = psi0
+    for i, transfer in enumerate(transfers):
+        psi = transfer @ psi
+        states[i + 1] = psi
+    return states
+
+
+class TestStateScan:
+    # 1 and 2 are a single block; 63 and 65 pad the last block, 64 fills it
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 4095])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_matches_sequential_loop(self, rng, dim, n):
+        a = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+        transfers = expm_unitary_batch(a + linalg.dagger(a), 1.0)
+        psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi0 /= np.linalg.norm(psi0)
+        states = evolve._scan_states(transfers, psi0)
+        # a state is a product of at most n unitaries on either side; each
+        # product adds O(dim eps) error
+        atol = 4 * dim * (n + 1) * np.finfo(float).eps
+        np.testing.assert_allclose(
+            states, sequential_states(transfers, psi0), rtol=0, atol=atol
+        )
 
 
 def coupling_matrix(frame, monkeypatch):
@@ -229,6 +269,8 @@ class TestCoefficients:
         frame = build_frame(model, grid, gamma_mode="analytic_frame")
         c0 = np.array([0.0, 1.0], dtype=complex)
         result = evolve_coefficients(frame, c0, tol=1e-9)
+        assert len(result.convergence) == result.refinements
+        assert result.convergence[-1] <= 1e-9 < min(result.convergence[:-1], default=1.0)
         expected = metrics.closed_form_F(params, grid.samples) ** 2
         np.testing.assert_allclose(np.abs(result.states[:, 1]) ** 2, expected, atol=1e-6)
 

@@ -156,6 +156,33 @@ class TestExpmUnitary:
         assert abs(abs(psi[1]) - 1.0) < 1e-12
 
 
+class TestMatmulBatch:
+    """The elementwise N = 2 product against ``@``."""
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((64, 2, 2), (64, 2, 2)),
+        ((3, 1, 2, 2), (4, 2, 2)),
+        ((2, 2), (5, 2, 2)),
+        ((7, 2, 2), (2, 2)),
+        ((5, 3, 3), (1, 3, 3)),
+        ((6, 2, 2), (6, 2, 3)),
+    ])
+    def test_matches_matmul(self, rng, a_shape, b_shape):
+        a = rng.normal(size=a_shape) + 1j * rng.normal(size=a_shape)
+        b = rng.normal(size=b_shape) + 1j * rng.normal(size=b_shape)
+        out, expected = linalg.matmul_batch(a, b), a @ b
+        assert out.shape == expected.shape
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14)
+
+    def test_strided_and_real_operands(self, rng):
+        stack = rng.normal(size=(40, 3, 2, 2)) + 1j * rng.normal(size=(40, 3, 2, 2))
+        a = stack[:, 1].swapaxes(-1, -2)
+        b = rng.normal(size=(40, 2, 2))
+        out = linalg.matmul_batch(a, b)
+        assert out.dtype == complex
+        np.testing.assert_allclose(out, a @ b, rtol=0, atol=1e-14)
+
+
 def unitarity_defect(us: np.ndarray) -> float:
     return float(np.max(np.abs(us @ linalg.dagger(us) - np.eye(us.shape[-1]))))
 

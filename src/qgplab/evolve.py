@@ -28,15 +28,14 @@ kept as the reference method (the default of ``schrodinger_fixed_step``).
 
 Stages of one fixed-substep pass
 --------------------------------
-Each factor's generator is assembled as the scaled sum
-sum_k W[j, k] h(t0 + c_k dt) over the stacked samples; the exponentials of
-all substeps are composed per grid interval into its transfer matrix with
-``linalg.matmul_batch`` (elementwise for N = 2); and ``_scan_states`` turns
-the n transfers into the n + 1 states by a two-level blocked scan: blocks of
-w = ceil(sqrt(n)) transfers, w - 1 batched in-block prefix products, a
-sequential walk over the ceil(n/w) block ends, and one batched matvec.  That
-replaces n Python-level matvecs by about n batched products and sqrt(n)
-Python steps; the states agree with the sequential loop at rounding level.
+Each factor's generator is the scaled sum sum_k W[j, k] h(t0 + c_k dt) of
+the stacked samples.  The substep exponentials of each grid interval are
+composed into its transfer matrix with ``linalg.matmul_batch``.
+``_scan_states`` turns the n transfers into the n + 1 states by a two-level
+blocked scan: blocks of w = ceil(sqrt(n)) transfers, w - 1 batched in-block
+prefix products, a sequential walk over the ceil(n/w) block ends for each
+block's start state, and one batched matvec for all states.  That is about
+n batched products and sqrt(n) Python steps where a loop takes n matvecs.
 """
 
 from __future__ import annotations
@@ -141,15 +140,9 @@ def _interval_transfers(
 
 
 def _scan_states(transfers: np.ndarray, psi0: np.ndarray) -> np.ndarray:
-    """States psi_0 .. psi_n with psi_{i+1} = transfers[i] @ psi_i.
-
-    A two-level blocked scan: the n transfers are split into blocks of
-    w = ceil(sqrt(n)), the last one padded with identities; w - 1 batched
-    products form every block's prefix products, ceil(n/w) matvecs walk the
-    block ends to each block's start state, and one batched matvec gives
-    all states.  That is about n products and sqrt(n) Python steps instead
-    of n sequential matvecs.
-    """
+    """States psi_0 .. psi_n with psi_{i+1} = transfers[i] @ psi_i, by the
+    blocked scan of the module docstring (the last block padded with
+    identities, whose products are never read)."""
     n, dim = transfers.shape[0], psi0.size
     width = math.isqrt(n - 1) + 1
     n_blocks = -(-n // width)

@@ -208,11 +208,8 @@ def _pade_unitary(a: np.ndarray) -> np.ndarray:
 
 
 def matmul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` over broadcast stacks of square matrices (..., N, N).
-
-    For N = 2 each entry is formed from the stacked entries elementwise
-    (see the module docstring); otherwise this is ``a @ b``.
-    """
+    """``a @ b`` over broadcast stacks of square matrices (..., N, N);
+    elementwise for N = 2 (see the module docstring)."""
     if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
         return a @ b
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))

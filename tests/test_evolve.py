@@ -14,7 +14,7 @@ from qgplab.evolve import (
     schrodinger_fixed_step,
 )
 from qgplab.frames import TimeGrid, adiabatic_trajectory, build_frame, theta_series
-from qgplab.linalg import SIGMA_X, SIGMA_Z, expm_unitary_batch
+from qgplab.linalg import SIGMA_X, SIGMA_Z
 from qgplab.models import (
     BlochCurveModel,
     RotatingSpinParams,
@@ -168,7 +168,7 @@ class TestStateScan:
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_matches_sequential_loop(self, rng, dim, n):
         a = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
-        transfers = expm_unitary_batch(a + linalg.dagger(a), 1.0)
+        transfers = linalg.expm_unitary_batch(a + linalg.dagger(a), 1.0)
         psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi0 /= np.linalg.norm(psi0)
         states = evolve._scan_states(transfers, psi0)

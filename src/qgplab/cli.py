@@ -30,7 +30,7 @@ import numpy as np
 
 from . import metrics, reporting
 from .conditions import condition_report
-from .errors import ConfigError, InvalidParamsError, NumericalError, QgplabError
+from .errors import ConfigError, NumericalError, QgplabError
 from .evolve import evolve_schrodinger
 from .frames import TimeGrid, adiabatic_trajectory, build_frame
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -589,12 +589,12 @@ def main(argv: list[str] | None = None) -> int:
         cfg = replace(FIGURE1) if args.command == "figure1" else parse_config(args.config)
         _validate(cfg, _apply_overrides(cfg, args))
         return COMMANDS[args.command](cfg)
-    except (ConfigError, InvalidParamsError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except QgplabError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2

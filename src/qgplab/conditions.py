@@ -314,61 +314,3 @@ def constant_case_solution(pi: PiMatrix, m: int, tau) -> complex | np.ndarray:
     taus = np.asarray(tau, dtype=float)
     out = np.sum(weights * np.exp(1j * np.outer(np.atleast_1d(taus), system.values)), axis=1)
     return complex(out[0]) if np.ndim(tau) == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# Theorem bound calculator
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TheoremInputs:
-    """Inputs of the (1-delta)^2 occupation bound for an N-level system.
-
-    ``deriv_bound`` is the user-supplied bound B on the coefficient-vector
-    derivatives at the interval ends; computing it symbolically is out of
-    scope, so the calculator checks the theorem's arithmetic only.
-    """
-
-    n_levels: int
-    p_terms: int
-    deriv_bound: float
-    coupling_max: float
-    omega_min: float
-
-    def __post_init__(self):
-        if self.n_levels < 2 or self.p_terms < 1:
-            raise InvalidParamsError("need n_levels >= 2 and p_terms >= 1")
-        vals = (self.deriv_bound, self.coupling_max, self.omega_min)
-        if not all(math.isfinite(v) for v in vals):
-            raise InvalidParamsError("theorem inputs must be finite")
-        if self.deriv_bound <= 0 or self.omega_min <= 0:
-            raise InvalidParamsError("deriv_bound and omega_min must be positive")
-        if self.coupling_max < 0:
-            raise InvalidParamsError("coupling_max must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TheoremBound:
-    """Result of the bound calculator; inapplicable results name the failed
-    premise instead of reporting a verdict."""
-
-    applicable: bool
-    violated: str | None
-    eps_prime: float
-    eps: float
-    delta: float | None
-    floor: float | None
-
-
-def theorem_bound(inputs: TheoremInputs) -> TheoremBound:
-    """delta = eps/(1 - eps') and the floor (1 - delta)^2 from the premises."""
-    n, p = inputs.n_levels, inputs.p_terms
-    eps_prime = 1.0 / inputs.omega_min
-    eps = eps_prime * 2.0 * p * n * (n - 1) * inputs.deriv_bound * inputs.coupling_max
-    if not eps_prime < 1.0:
-        return TheoremBound(False, "eps_prime < 1", eps_prime, eps, None, None)
-    if not eps + eps_prime <= 1.0:
-        return TheoremBound(False, "eps + eps_prime <= 1", eps_prime, eps, None, None)
-    delta = eps / (1.0 - eps_prime)
-    return TheoremBound(True, None, eps_prime, eps, delta, (1.0 - delta) ** 2)

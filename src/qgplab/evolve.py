@@ -47,13 +47,7 @@ import numpy as np
 
 from .errors import GridMismatchError, StepUnderflowError, UndefinedArgError
 from .frames import COUPLING_FLOOR, SpectralFrame, TimeGrid, adiabatic_trajectory, theta_series
-from .linalg import (
-    expm_unitary,
-    expm_unitary_batch,
-    matmul_batch,
-    require_hermitian,
-    require_state,
-)
+from .linalg import expm_unitary_batch, matmul_batch, require_state
 from .models import HamiltonianModel
 
 #: step matrices (substeps x rule factors) per vectorized chunk (bounds peak memory)
@@ -177,7 +171,7 @@ _MAX_REFINEMENTS = 24
 
 
 def _adaptive_states(
-    sample_h, psi0: np.ndarray, grid: TimeGrid, tol: float, max_refinements: int
+    sample_h, psi0: np.ndarray, grid: TimeGrid, tol: float
 ) -> tuple[np.ndarray, int, tuple[float, ...]]:
     """Halve CF4 substeps until successive refinements agree below tol.
 
@@ -187,7 +181,7 @@ def _adaptive_states(
     substeps = 1
     trail = []
     states = _propagate_fixed(sample_h, psi0, taus, substeps, CF4)
-    for _ in range(max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         if np.max(np.diff(taus)) / (2 * substeps) < _MIN_STEP:
             raise StepUnderflowError(
                 f"substep below {_MIN_STEP:g} before reaching tol {tol:g}"
@@ -203,7 +197,7 @@ def _adaptive_states(
         if trail[-1] <= max(tol, 5e-14):
             return states, substeps, tuple(trail)
     raise StepUnderflowError(
-        f"no convergence below tol {tol:g} after {max_refinements} refinements"
+        f"no convergence below tol {tol:g} after {_MAX_REFINEMENTS} refinements"
     )
 
 
@@ -227,7 +221,6 @@ def evolve_schrodinger(
     psi0: np.ndarray,
     grid: TimeGrid,
     tol: float = 1e-9,
-    max_refinements: int = _MAX_REFINEMENTS,
 ) -> EvolutionResult:
     """Integrate i dpsi/dtau = h(tau) psi from the first grid sample."""
     if not tol > 0:
@@ -235,7 +228,7 @@ def evolve_schrodinger(
     psi0 = require_state(psi0)
     if psi0.size != model.dim:
         raise GridMismatchError(f"state dim {psi0.size} != model dim {model.dim}")
-    states, substeps, trail = _adaptive_states(model.sample, psi0, grid, tol, max_refinements)
+    states, substeps, trail = _adaptive_states(model.sample, psi0, grid, tol)
     return _result(grid, states, "schrodinger", substeps, trail)
 
 
@@ -304,9 +297,7 @@ def evolve_coefficients(
             out[:, n, m] = np.conjugate(entry)
         return -out
 
-    states, substeps, trail = _adaptive_states(
-        sample_generator, c0, frame.grid, tol, _MAX_REFINEMENTS
-    )
+    states, substeps, trail = _adaptive_states(sample_generator, c0, frame.grid, tol)
     return _result(frame.grid, states, "coefficients", substeps, trail)
 
 
@@ -321,10 +312,3 @@ def reconstruct_state(frame: SpectralFrame, coefficients: EvolutionResult) -> np
         traj = adiabatic_trajectory(frame, n)
         out += coefficients.states[:, n][:, None] * traj.states
     return out
-
-
-def evolve_exact_constant(h: np.ndarray, psi0: np.ndarray, tau: float) -> np.ndarray:
-    """exp(-i H tau) psi0 for a time-independent Hermitian generator."""
-    h = require_hermitian(np.asarray(h, dtype=complex))
-    psi0 = require_state(psi0)
-    return expm_unitary(h, tau) @ psi0

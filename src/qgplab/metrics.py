@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qgp as qgp_mod
-from .errors import DegenerateAError, GridMismatchError, InvalidParamsError, InvariantViolationError
+from .errors import DegenerateAError, GridMismatchError, InvalidParamsError
 from .evolve import EvolutionResult
-from .frames import AdiabaticTrajectory, SpectralFrame, TimeGrid, build_frame
-from .models import RobustModelParams, RotatingSpinParams, robust_model
+from .frames import AdiabaticTrajectory, SpectralFrame, TimeGrid
+from .models import RobustModelParams, RotatingSpinParams
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,61 +119,3 @@ def p_min(params: RobustModelParams) -> float:
     if n0_sq <= 0:
         raise InvalidParamsError("N(0) must be positive")
     return 1.0 - (params.eta + params.eta1) ** 2 / n0_sq
-
-
-@dataclass(frozen=True)
-class RobustQgpReport:
-    """Numeric check of the robust model's QGP-to-coupling ratio.
-
-    Valid in the eta2 >> eta regime only; out-of-regime inputs are reported
-    with ``in_regime`` False and no assertions made.
-    """
-
-    in_regime: bool
-    ratio_median: float | None
-    expected_ratio: float
-    sign_agreement: float | None
-
-
-def qgp_ratio_robust(params: RobustModelParams) -> RobustQgpReport:
-    """|Delta_+-| / |gamma_+-| against eta0/eta1, plus the sign claim.
-
-    In the eta2 >= 10*eta regime, samples two periods pi/eta2 at 8192 points
-    and asserts that the median ratio lies within a factor 2 of eta0/eta1
-    and that Delta_+- carries the sign of e_- - e_+ wherever the coupling is
-    defined.
-    """
-    p = params
-    if p.eta1 == 0:
-        raise InvalidParamsError("eta1 = 0 leaves the expected ratio undefined")
-    expected = abs(p.eta0 / p.eta1)
-    in_regime = p.eta != 0 and abs(p.eta2 / p.eta) >= 10.0
-    if not in_regime:
-        return RobustQgpReport(
-            in_regime=False, ratio_median=None, expected_ratio=expected, sign_agreement=None
-        )
-    horizon = 2.0 * math.pi / abs(p.eta2)
-    grid = TimeGrid.uniform(0.0, horizon, 8192)
-    frame = build_frame(robust_model(p), grid, gamma_mode="analytic_derivative")
-    series = qgp_mod.qgp(frame, 1, 0)
-    valid = series.valid
-    ratios = np.abs(series.delta[valid]) / series.gamma_abs[valid]
-    ratio_median = float(np.median(ratios))
-    gap_sign = np.sign(frame.energies[valid, 0] - frame.energies[valid, 1])
-    sign_agreement = float(np.mean(np.sign(series.delta[valid]) == gap_sign))
-    if not (expected / 2.0 <= ratio_median <= expected * 2.0):
-        raise InvariantViolationError(
-            f"median |Delta|/|gamma| = {ratio_median:.3g} outside factor "
-            f"2 of eta0/eta1 = {expected:.3g}"
-        )
-    if sign_agreement < 1.0:
-        raise InvariantViolationError(
-            f"Delta_+- sign matches e_- - e_+ on only {sign_agreement:.4f} "
-            "of valid samples"
-        )
-    return RobustQgpReport(
-        in_regime=True,
-        ratio_median=ratio_median,
-        expected_ratio=expected,
-        sign_agreement=sign_agreement,
-    )

@@ -12,8 +12,7 @@ Built-in models:
   h = eta*sz + xi*(sx cos(2*K*eta*tau) + sy sin(2*K*eta*tau)).
 * ``robust_model``   - 2-level system built from nested conjugations by
   matrix exponentials, engineered so the occupation floor is insensitive to
-  the fast-drive magnitude; ``robust_hamiltonian_nested`` evaluates the
-  defining nested-exponential expression as an independent oracle.
+  the fast-drive magnitude.
 * ``bloch_curve``    - h = A(tau)*I + B(tau)*nhat(tau).sigma for a smooth
   curve nhat on the Bloch sphere.
 * ``fourier_nlevel`` - sum_k a_k cos(w_k tau + p_k) H_k for Hermitian H_k.
@@ -335,24 +334,12 @@ def _robust_bloch_components(p: RobustModelParams, taus: np.ndarray):
     return hx, hy, hz
 
 
-def robust_hamiltonian_nested(params: RobustModelParams, tau: float) -> np.ndarray:
-    """h(tau) of the robust model from its defining nested exponentials.
-
-    An independent route to the closed-form Pauli components that
-    ``robust_model`` samples; tests pin the two against each other.
-    """
-    p = params
-    u_z = linalg.expm_unitary(SIGMA_Z, p.eta * tau)
-    u_x = linalg.expm_unitary(SIGMA_X, -p.eta2 * tau)  # e^{+i eta2 sx tau}
-    inner = p.eta0 * SIGMA_X + p.eta1 * (u_x @ SIGMA_Z @ linalg.dagger(u_x))
-    return p.eta * SIGMA_Z + u_z @ inner @ linalg.dagger(u_z)
-
-
 def robust_model(params: RobustModelParams) -> HamiltonianModel:
     """2-level model with a fast wobble riding on a strong static field.
 
     Samples the closed-form Pauli components of the nested-exponential
-    definition (``robust_hamiltonian_nested``).
+    definition h = eta sz + U_z (eta0 sx + eta1 U_x sz U_x^dag) U_z^dag,
+    with U_z = exp(-i eta sz tau) and U_x = exp(i eta2 sx tau).
     """
     p = params
 

@@ -116,34 +116,8 @@ def qgp(frame: SpectralFrame, m: int, n: int) -> QgpSeries:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SphereCurve:
-    """Regular curve on the unit sphere given by polar/azimuth functions."""
-
-    theta: SmoothScalar
-    phi: SmoothScalar
-
-    @classmethod
-    def from_bloch(cls, curve: BlochCurveModel) -> "SphereCurve":
-        return cls(theta=curve.theta, phi=curve.phi)
-
-    def speed(self, tau) -> np.ndarray:
-        """|dr/dtau| = sqrt(theta'^2 + (phi' sin theta)^2)."""
-        tau = np.asarray(tau, dtype=float)
-        td = self.theta.d1(tau)
-        pd = self.phi.d1(tau)
-        return np.sqrt(td * td + (pd * np.sin(self.theta.value(tau))) ** 2)
-
-    def point(self, tau) -> np.ndarray:
-        tau = np.asarray(tau, dtype=float)
-        th, ph = self.theta.value(tau), self.phi.value(tau)
-        return np.stack(
-            [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1
-        )
-
-
-def geodesic_curvature(curve: SphereCurve, tau) -> float | np.ndarray:
-    """Geodesic curvature of the spherical curve at tau.
+def geodesic_curvature(curve: BlochCurveModel, tau) -> float | np.ndarray:
+    """Geodesic curvature at tau of the curve's (theta, phi) path on the unit sphere.
 
     rho = (r x r_s) . r_ss in terms of theta, phi and their first and second
     tau-derivatives; requires a regular point (nonzero speed).
@@ -177,7 +151,7 @@ def qgp_curvature_identity(
     grid = TimeGrid(np.asarray(taus, dtype=float))
     frame = build_frame(bloch_curve(curve), grid, gamma_mode=gamma_mode)
     series = qgp(frame, 1, 0)
-    rho = geodesic_curvature(SphereCurve.from_bloch(curve), grid.samples)
+    rho = geodesic_curvature(curve, grid.samples)
     dev = np.abs(series.ratio - rho)
     if not series.valid.any():
         raise UndefinedArgError("coupling vanished everywhere on the grid")

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgplab import cli, metrics
+from qgplab import cli, errors, metrics
 from qgplab.models import RobustModelParams, RotatingSpinParams
 
 ROTATING_CONFIG = """
@@ -59,6 +59,13 @@ samples = 128
 [output]
 dir = {out}
 """
+
+
+#: every exception class of the package, the base class included
+PACKAGE_ERRORS = [
+    obj for obj in vars(errors).values()
+    if isinstance(obj, type) and issubclass(obj, errors.QgplabError)
+]
 
 
 def base_config(name, out):
@@ -636,3 +643,25 @@ class TestInputEdges:
         assert cli.main(["conditions", "--config", str(config), "--out", str(regular_file)]) == 2
         self.assert_output_error(capsys, regular_file)
         assert regular_file.read_text() == "keep me\n"
+
+    def test_degenerate_closed_form_exits_2(self, tmp_path, capsys):
+        # K = 1 and xi ~ 0 leave A = 0, where closed_form_F raises DegenerateAError
+        path = tmp_path / "degenerate.ini"
+        path.write_text(ROTATING_CONFIG.format(
+            eta=1.0, xi=1e-16, k=1.0, tau_end=1.0, samples=256, out=tmp_path / "out",
+        ).replace("outputs = trajectory,fidelity,conditions", "outputs = fidelity"))
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: A = 0")
+
+    @pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
+    def test_every_package_error_maps_to_an_exit_code(self, tmp_path, capsys, monkeypatch, error):
+        def failing(cfg):
+            raise error("injected")
+
+        monkeypatch.setitem(cli.COMMANDS, "conditions", failing)
+        config = tmp_path / "const.ini"
+        config.write_text(CONSTANT_CONFIG.format(out=tmp_path / "out"))
+        numerical = issubclass(error, errors.NumericalError)
+        assert cli.main(["conditions", "--config", str(config)]) == (3 if numerical else 2)
+        kind = "numerical" if numerical else "config"
+        assert capsys.readouterr().err == f"{kind} error: injected\n"

@@ -2,18 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qgplab import evolve, qgp
 from qgplab.conditions import (
     PiMatrix,
-    TheoremInputs,
     condition_report,
     constant_case_solution,
     pi_bound,
     rrcp_check,
-    theorem_bound,
 )
 from qgplab.errors import (
     InvalidParamsError,
@@ -22,7 +20,7 @@ from qgplab.errors import (
 )
 from conftest import random_hermitian
 from qgplab.frames import TimeGrid, build_frame, regauge
-from qgplab.linalg import SIGMA_Z
+from qgplab.linalg import SIGMA_Z, expm_unitary
 from qgplab.models import (
     FourierTerm,
     RotatingSpinParams,
@@ -98,9 +96,45 @@ def separated_fourier(rng, dim):
     return fourier_nlevel(dim, terms)
 
 
+#: per-sample agreement of Delta and |gamma| that the gauge test asserts
+GAUGE_ATOL = 1e-8
+
+#: each report maximum and the per-pair ratio it is taken over
+MAX_RATIOS = {
+    "max_traditional": "traditional_ratio",
+    "max_new_strict": "new_ratio_strict",
+    "max_new_conservative": "new_ratio_conservative",
+}
+
+
+def reciprocal_max_bound(old, new, field, eps):
+    """Largest |1/new.field - 1/old.field| allowed when every Delta and
+    |gamma| moved by at most eps.
+
+    Per sample, 1/ratio = |gap + Delta| / g, with g = |gamma_nm| (the largest
+    coupling out of the level for the conservative ratio) and the gap gauge
+    invariant, so it moves by at most eps (1 + 1/ratio) / g_new.  The smallest
+    reciprocal then moves by at most that bound at the sample where either
+    report attains it.  Near a pole of the ratio this stays of order eps / g,
+    where the ratio itself may move by eps g / |gap + Delta|^2.
+    """
+    key = MAX_RATIOS[field]
+    ratios = []
+    for report in (old, new):
+        stack = np.stack([getattr(p, key) for p in report.pairs])
+        ratios.append(np.where(np.isfinite(stack), stack, -np.inf))
+    g_new = np.stack([p.gamma_abs for p in new.pairs])
+    if key == "new_ratio_conservative":
+        g_new = np.broadcast_to(g_new.max(axis=0), g_new.shape)
+    spots = [np.unravel_index(np.argmax(r), r.shape) for r in ratios]
+    return max(eps * (1.0 + 1.0 / ratios[0][s]) / g_new[s] for s in spots)
+
+
 class TestGaugeInvariance:
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10**6), dim=st.sampled_from([3, 4]))
+    # max_new_strict = 8796: a 2.6e-12 move of Delta shifts the ratio by 4.4e-8 relative
+    @example(seed=135676, dim=4)
     def test_regauge_leaves_the_report_unchanged(self, seed, dim):
         rng = np.random.default_rng(seed)
         grid = TimeGrid.uniform(0.0, 2.0 * np.pi, 1024)
@@ -122,14 +156,17 @@ class TestGaugeInvariance:
             assume(abs(report.max_traditional - report.traditional_threshold) > 1e-6)
             assume(abs(report.max_new - report.new_threshold) > 1e-6)
         for old, new in zip(before, after):
-            for key in ("max_traditional", "max_new_strict", "max_new_conservative"):
-                assert getattr(new, key) == pytest.approx(getattr(old, key), rel=1e-8)
             for old_pair, new_pair in zip(old.pairs, new.pairs, strict=True):
                 assert new_pair.pair == old_pair.pair
-                np.testing.assert_allclose(new_pair.delta, old_pair.delta, rtol=0, atol=1e-8)
                 np.testing.assert_allclose(
-                    new_pair.gamma_abs, old_pair.gamma_abs, rtol=0, atol=1e-8
+                    new_pair.delta, old_pair.delta, rtol=0, atol=GAUGE_ATOL
                 )
+                np.testing.assert_allclose(
+                    new_pair.gamma_abs, old_pair.gamma_abs, rtol=0, atol=GAUGE_ATOL
+                )
+            for field in MAX_RATIOS:
+                moved_by = abs(1.0 / getattr(new, field) - 1.0 / getattr(old, field))
+                assert moved_by <= reciprocal_max_bound(old, new, field, GAUGE_ATOL)
             assert new.traditional_pass == old.traditional_pass
             assert new.new_pass == old.new_pass
 
@@ -231,7 +268,7 @@ class TestConstantCaseSolution:
         basis = np.eye(3, dtype=complex)
         for tau in rng.uniform(0.0, 8.0, 6):
             for m in range(3):
-                via_expm = evolve.evolve_exact_constant(-pi.matrix(), basis[m], float(tau))[m]
+                via_expm = (expm_unitary(-pi.matrix(), float(tau)) @ basis[m])[m]
                 direct = constant_case_solution(pi, m, float(tau))
                 assert abs(via_expm - direct) < 1e-10
 
@@ -265,55 +302,3 @@ class TestConstantCaseSolution:
         taus = np.linspace(0.0, 20.0, 2001)
         amplitude = np.abs(constant_case_solution(pi, m, taus))
         assert np.min(amplitude) >= 1.0 - delta
-
-
-class TestTheoremBound:
-    def test_reference_arithmetic(self):
-        result = theorem_bound(
-            TheoremInputs(n_levels=2, p_terms=1, deriv_bound=1.0, coupling_max=0.1, omega_min=100.0)
-        )
-        assert result.applicable
-        assert result.eps_prime == pytest.approx(0.01)
-        assert result.eps == pytest.approx(0.004)
-        assert result.delta == pytest.approx(0.004 / 0.99)
-        assert result.floor == pytest.approx((1.0 - 0.004 / 0.99) ** 2)
-        assert result.floor == pytest.approx(0.99194, abs=5e-6)
-
-    def test_decoupled_system(self):
-        result = theorem_bound(
-            TheoremInputs(n_levels=4, p_terms=2, deriv_bound=3.0, coupling_max=0.0, omega_min=50.0)
-        )
-        assert result.applicable and result.delta == 0.0 and result.floor == 1.0
-
-    def test_eps_prime_boundary_inapplicable(self):
-        result = theorem_bound(
-            TheoremInputs(n_levels=2, p_terms=1, deriv_bound=1.0, coupling_max=1.0, omega_min=1.0)
-        )
-        assert not result.applicable and result.violated == "eps_prime < 1"
-
-    def test_eps_sum_inapplicable(self):
-        result = theorem_bound(
-            TheoremInputs(n_levels=2, p_terms=1, deriv_bound=10.0, coupling_max=1.0, omega_min=2.0)
-        )
-        assert not result.applicable and result.violated == "eps + eps_prime <= 1"
-
-    def test_monotonic_in_coupling_and_frequency(self):
-        base = dict(n_levels=3, p_terms=2, deriv_bound=1.0, omega_min=200.0)
-        floors = [
-            theorem_bound(TheoremInputs(coupling_max=d, **base)).floor
-            for d in np.linspace(0.0, 0.5, 11)
-        ]
-        assert all(a >= b for a, b in zip(floors, floors[1:]))
-        floors_w = [
-            theorem_bound(
-                TheoremInputs(n_levels=3, p_terms=2, deriv_bound=1.0, coupling_max=0.2, omega_min=w)
-            ).floor
-            for w in np.linspace(50.0, 500.0, 10)
-        ]
-        assert all(a <= b for a, b in zip(floors_w, floors_w[1:]))
-
-    def test_invalid_inputs(self):
-        with pytest.raises(InvalidParamsError):
-            TheoremInputs(n_levels=1, p_terms=1, deriv_bound=1.0, coupling_max=0.1, omega_min=10.0)
-        with pytest.raises(InvalidParamsError):
-            TheoremInputs(n_levels=2, p_terms=1, deriv_bound=0.0, coupling_max=0.1, omega_min=10.0)

@@ -16,6 +16,20 @@ from qgplab.models import (
     rotating_spin,
 )
 
+
+def robust_hamiltonian_nested(params: RobustModelParams, tau: float) -> np.ndarray:
+    """h(tau) of the robust model from its defining nested exponentials.
+
+    An independent route to the closed-form Pauli components that
+    ``robust_model`` samples; tests pin the two against each other.
+    """
+    p = params
+    u_z = linalg.expm_unitary(SIGMA_Z, p.eta * tau)
+    u_x = linalg.expm_unitary(SIGMA_X, -p.eta2 * tau)  # e^{+i eta2 sx tau}
+    inner = p.eta0 * SIGMA_X + p.eta1 * (u_x @ SIGMA_Z @ linalg.dagger(u_x))
+    return p.eta * SIGMA_Z + u_z @ inner @ linalg.dagger(u_z)
+
+
 ALL_MODELS = {}
 
 
@@ -99,7 +113,7 @@ class TestRobustModel:
         p = RobustModelParams(eta=1.3, eta0=6.0, eta1=0.7, eta2=9.0)
         model = robust_model(p)
         taus = rng.uniform(0.0, 4.0, 12)
-        pointwise = np.stack([models.robust_hamiltonian_nested(p, float(t)) for t in taus])
+        pointwise = np.stack([robust_hamiltonian_nested(p, float(t)) for t in taus])
         np.testing.assert_allclose(pointwise, model.sample(taus), atol=1e-13)
 
     def test_negative_mixed_radicand_rejected(self):

@@ -21,7 +21,6 @@ from qgplab.models import (
 )
 from qgplab.qgp import (
     ReparamMap,
-    SphereCurve,
     berry_difference,
     geodesic_curvature,
     qgp_curvature_identity,
@@ -52,6 +51,18 @@ def smooth_random_curve(rng, min_coupling=0.05):
         theta_vals = theta.value(taus)
         if np.min(coupling) > min_coupling and 0.2 < np.min(theta_vals) and np.max(theta_vals) < np.pi - 0.2:
             return curve
+
+
+def sphere_point(curve, tau):
+    """The unit vector r(tau) at polar angle theta(tau) and azimuth phi(tau)."""
+    th, ph = curve.theta.value(tau), curve.phi.value(tau)
+    return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
+
+
+def sphere_speed(curve, tau):
+    """|dr/dtau| = sqrt(theta'^2 + (phi' sin theta)^2)."""
+    td, pd = curve.theta.d1(tau), curve.phi.d1(tau)
+    return np.sqrt(td * td + (pd * np.sin(curve.theta.value(tau))) ** 2)
 
 
 class TestQgpSeries:
@@ -103,30 +114,29 @@ class TestQgpSeries:
 
 class TestGeodesicCurvature:
     def test_great_circle(self):
-        curve = SphereCurve(SmoothScalar.constant(np.pi / 2), SmoothScalar.poly([0.0, 1.0]))
+        curve = BlochCurveModel(SmoothScalar.constant(np.pi / 2), SmoothScalar.poly([0.0, 1.0]))
         assert geodesic_curvature(curve, 0.7) == pytest.approx(0.0, abs=1e-14)
 
     def test_parallel_circle_cotangent(self):
         theta0 = 1.1
-        curve = SphereCurve(SmoothScalar.constant(theta0), SmoothScalar.poly([0.0, 1.0]))
+        curve = BlochCurveModel(SmoothScalar.constant(theta0), SmoothScalar.poly([0.0, 1.0]))
         assert geodesic_curvature(curve, 2.0) == pytest.approx(1.0 / np.tan(theta0), abs=1e-12)
 
     def test_singular_point_rejected(self):
-        curve = SphereCurve(SmoothScalar.constant(1.0), SmoothScalar.constant(0.0))
+        curve = BlochCurveModel(SmoothScalar.constant(1.0), SmoothScalar.constant(0.0))
         with pytest.raises(SingularPointError):
             geodesic_curvature(curve, 0.0)
 
     def test_matches_arclength_frenet_oracle(self, rng):
         curve = smooth_random_curve(rng)
-        sphere = SphereCurve(curve.theta, curve.phi)
         taus = np.linspace(0.05, 0.95, 7)
 
         # oracle: resample r(tau) uniformly in arclength, 4th-order FD in s
         from scipy.interpolate import CubicSpline
 
         dense = np.linspace(0.0, 1.0, 40001)
-        r = sphere.point(dense)
-        speed = sphere.speed(dense)
+        r = sphere_point(curve, dense)
+        speed = sphere_speed(curve, dense)
         s_of_tau = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(dense))])
         s_uniform = np.linspace(0.0, s_of_tau[-1], 40001)
         r_s = CubicSpline(s_of_tau, r)(s_uniform)
@@ -138,7 +148,7 @@ class TestGeodesicCurvature:
         for tau in taus:
             s_here = np.interp(tau, dense, s_of_tau)
             rho_oracle = np.interp(s_here, s_uniform, rho_oracle_grid)
-            assert abs(geodesic_curvature(sphere, float(tau)) - rho_oracle) < 1e-4
+            assert abs(geodesic_curvature(curve, float(tau)) - rho_oracle) < 1e-4
 
 
 class TestCurvatureIdentity:
@@ -155,7 +165,7 @@ class TestCurvatureIdentity:
         )
         grid = np.linspace(0.0, 1.0, 257)
         assert qgp_curvature_identity(curve, grid, gamma_mode="analytic_frame") <= 1e-12
-        rho = geodesic_curvature(SphereCurve(curve.theta, curve.phi), grid)
+        rho = geodesic_curvature(curve, grid)
         np.testing.assert_allclose(rho, 0.0, atol=1e-14)
 
     def test_random_curves_fd_path(self, rng):

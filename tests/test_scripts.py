@@ -28,3 +28,24 @@ def test_regime_comparison_flips_both_verdicts():
     for regime in regimes:
         simulated, closed = re.search(r"min fidelity +(\S+) \(closed form (\S+)\)", regime).groups()
         assert simulated == closed
+
+
+def test_k_sweep_writes_one_row_per_k(tmp_path):
+    run_script("k_sweep.py", str(tmp_path))
+    lines = (tmp_path / "summary.csv").read_text().splitlines()
+    assert lines[0] == "k,traditional_ratio,traditional_pass,new_ratio,new_pass,min_fidelity"
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [
+        0.25, 0.5, 1.0, 2.0, 5.0, 20.0, 50.0, 200.0
+    ]
+
+
+def test_run_figure1_writes_the_figure_files(tmp_path):
+    run_script("run_figure1.py", str(tmp_path))
+    headers = {
+        "bloch.csv": "tau,evo_x,evo_y,evo_z,adia_x,adia_y,adia_z",
+        "P.csv": "tau,P_simulated,P_closed_form",
+    }
+    for name, header in headers.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == header and len(lines) > 1
+    assert (tmp_path / "figure1.svg").read_text().startswith("<svg ")

@@ -54,24 +54,6 @@ _PAULI = {"sigma_x": SIGMA_X, "sigma_y": SIGMA_Y, "sigma_z": SIGMA_Z}
 #: the names [output] outputs accepts
 OUTPUTS = ("trajectory", "fidelity", "conditions")
 
-#: the keys of each section besides [model] and [sweep]
-_SECTION_KEYS = {
-    "run": ("tau_start", "tau_end", "samples", "level", "tol"),
-    "conditions": ("delta", "traditional_threshold", "pairing"),
-    "output": ("dir", "outputs"),
-}
-
-#: each model's own keys, the ones [model] (besides ``name``) takes
-_MODEL_KEYS = {
-    "rotating_spin": ("eta", "xi", "k"),
-    "robust": ("eta", "eta0", "eta1", "eta2"),
-    "bloch_curve": ("theta_type", "theta_coeffs", "phi_type", "phi_coeffs", "a", "b"),
-    "fourier": ("dim", "term*"),
-}
-
-#: model keys whose value is not one float; [sweep] takes the others
-_NOT_FLOAT_KEYS = ("theta_type", "theta_coeffs", "phi_type", "phi_coeffs", "dim", "term*")
-
 
 @dataclass
 class ScenarioConfig:
@@ -90,11 +72,9 @@ class ScenarioConfig:
     sweep: dict = field(default_factory=dict)
 
 
-def _get(section, key, cast, *, required=True, default=None, where=""):
+def _get(section, key, cast, where):
     if key not in section:
-        if required:
-            raise ConfigError(f"missing field '{key}' in section [{where}]")
-        return default
+        raise ConfigError(f"missing field '{key}' in section [{where}]")
     raw = section[key]
     try:
         return cast(raw)
@@ -118,177 +98,57 @@ def _parse_level(raw: str) -> int:
     return int(raw)
 
 
-def _parse_scalar_descriptor(section, prefix: str, where: str) -> SmoothScalar:
-    kind = _get(section, f"{prefix}_type", str, required=False, default="const", where=where)
-    key = f"{prefix}_coeffs"
-    coeffs = _get(section, key, lambda raw: [float(v) for v in raw.split(",")], where=where)
-    _finite(coeffs, f"field '{key}' in [{where}]")
-    kind = kind.strip().lower()
-    if kind in ("const", "constant"):
-        if len(coeffs) != 1:
-            raise ConfigError(f"'{prefix}_coeffs' in [{where}]: constant wants one value")
-        return SmoothScalar.constant(coeffs[0])
-    if kind in ("poly", "polynomial"):
-        return SmoothScalar.poly(coeffs)
-    if kind in ("sin", "sinusoid"):
-        if len(coeffs) not in (3, 4):
-            raise ConfigError(
-                f"'{prefix}_coeffs' in [{where}]: sinusoid wants offset,amplitude,omega[,phase]"
-            )
-        return SmoothScalar.sinusoid(*coeffs)
-    raise ConfigError(f"'{prefix}_type' in [{where}]: unknown kind {kind!r}")
-
-
-def parse_config(path: str) -> ScenarioConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        read = parser.read(path)
-        # values are interpolated on access, so read them all here
-        sections = {name: dict(parser[name]) for name in parser.sections()}
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    if parser.defaults():
-        raise ConfigError("unknown section [DEFAULT] (its keys would enter every section)")
-    if "model" not in sections:
-        raise ConfigError("missing section [model]")
-    model_section = sections["model"]
-    name = _get(model_section, "name", str, where="model").strip().lower()
-    params = {k: v for k, v in model_section.items() if k != "name"}
-    _check_keys(sections, name)
-
-    cfg = ScenarioConfig(model_name=name, model_params=params)
-    if "run" in sections:
-        run = sections["run"]
-        cfg.tau_start = _get(run, "tau_start", float, required=False, default=cfg.tau_start, where="run")
-        cfg.tau_end = _get(run, "tau_end", float, required=False, default=cfg.tau_end, where="run")
-        cfg.samples = _get(run, "samples", int, required=False, default=cfg.samples, where="run")
-        cfg.level = _get(run, "level", _parse_level, required=False, default=cfg.level, where="run")
-        cfg.tol = _get(run, "tol", float, required=False, default=cfg.tol, where="run")
-    if "conditions" in sections:
-        cond = sections["conditions"]
-        cfg.delta = _get(cond, "delta", float, required=False, default=cfg.delta, where="conditions")
-        cfg.traditional_threshold = _get(
-            cond, "traditional_threshold", float, required=False,
-            default=cfg.traditional_threshold, where="conditions",
-        )
-        cfg.pairing = _get(cond, "pairing", str, required=False, default=cfg.pairing, where="conditions")
-    if "output" in sections:
-        out = sections["output"]
-        cfg.out_dir = _get(out, "dir", str, required=False, default=cfg.out_dir, where="output")
-        raw = _get(out, "outputs", str, required=False, default=None, where="output")
-        if raw is not None:
-            cfg.outputs = tuple(p.strip() for p in raw.split(",") if p.strip())
-            unknown = [p for p in cfg.outputs if p not in OUTPUTS]
-            if unknown:
-                raise ConfigError(
-                    f"field 'outputs' in [output]: unknown {', '.join(map(repr, unknown))}"
-                    f" (choose from {', '.join(OUTPUTS)})"
-                )
-    if "sweep" in sections:
-        sweep = sections["sweep"]
-        cfg.sweep = {key: _get(sweep, key, _float_list, where="sweep") for key in sweep}
-    return cfg
-
-
-def _check_keys(sections: dict[str, dict], model_name: str) -> None:
-    """Reject an unknown model, section or key, naming the first one."""
-    if model_name not in _MODEL_KEYS:
-        raise ConfigError(f"field 'name' in [model]: unknown model {model_name!r}")
-    model_keys = _MODEL_KEYS[model_name]
-    sweepable = tuple(key for key in model_keys if key not in _NOT_FLOAT_KEYS)
-    allowed = dict(_SECTION_KEYS, model=("name", *model_keys), sweep=sweepable)
-    for section, values in sections.items():
-        if section not in allowed:
-            raise ConfigError(f"unknown section [{section}] (choose from {', '.join(allowed)})")
-        for key in values:
-            if any(fnmatchcase(key, pattern) for pattern in allowed[section]):
-                continue
-            if section == "sweep" and any(fnmatchcase(key, p) for p in model_keys):
-                raise ConfigError(
-                    f"field '{key}' in [sweep]: not a float-valued key of {model_name}"
-                    f" (sweepable: {', '.join(sweepable) or 'none'})"
-                )
-            raise ConfigError(
-                f"field '{key}' in [{section}]: unknown key"
-                f" (choose from {', '.join(allowed[section])})"
-            )
+def _parse_outputs(raw: str) -> tuple:
+    outputs = tuple(p.strip() for p in raw.split(",") if p.strip())
+    unknown = ", ".join(repr(p) for p in outputs if p not in OUTPUTS)
+    if unknown:
+        choices = ", ".join(OUTPUTS)
+        raise ConfigError(f"field 'outputs' in [output]: unknown {unknown} (choose from {choices})")
+    return outputs
 
 
 def _float_list(raw: str) -> list[float]:
     return [float(v) for v in raw.split(",") if v.strip() != ""]
 
 
-def _validate(cfg: ScenarioConfig, sources: dict[str, str]) -> None:
-    """Check the scalar fields; ``sources`` names the option that set a field.
-
-    Model parameters and ``level`` are checked when ``ScenarioRun`` builds
-    the model.
-    """
-
-    def where(key: str, section: str = "run") -> str:
-        return sources.get(key, f"field '{key}' in [{section}]")
-
-    if cfg.samples < MIN_GRID:
-        raise ConfigError(f"{where('samples')}: grid size {cfg.samples} < {MIN_GRID}")
-    for key in ("tau_start", "tau_end"):
-        _finite(getattr(cfg, key), where(key))
-    if not cfg.tau_end > cfg.tau_start:
-        raise ConfigError(f"{where('tau_end')}: must exceed tau_start")
-    if not (np.isfinite(cfg.tol) and cfg.tol > 0):
-        raise ConfigError(f"{where('tol')}: must be finite and positive, got {cfg.tol!r}")
-    if not 0.0 < cfg.delta < 1.0:
-        raise ConfigError(f"{where('delta', 'conditions')}: must lie in (0, 1)")
-    threshold = cfg.traditional_threshold
-    if not (np.isfinite(threshold) and threshold > 0):
-        raise ConfigError(
-            f"{where('traditional_threshold', 'conditions')}: must be finite and positive, "
-            f"got {threshold!r}"
-        )
-    if cfg.pairing not in ("conservative", "strict"):
-        raise ConfigError(f"{where('pairing', 'conditions')}: conservative or strict")
-    for key, values in cfg.sweep.items():
-        _finite(values, where(key, "sweep"))
+#: ScenarioConfig field -> (section, key, cast, the option that overrides it);
+#: the sections besides [model] and [sweep] take exactly these keys
+_FIELDS = {
+    "tau_start": ("run", "tau_start", float, None),
+    "tau_end": ("run", "tau_end", float, None),
+    "samples": ("run", "samples", int, "grid"),
+    "level": ("run", "level", _parse_level, None),
+    "tol": ("run", "tol", float, "tol"),
+    "delta": ("conditions", "delta", float, "delta"),
+    "traditional_threshold": ("conditions", "traditional_threshold", float, None),
+    "pairing": ("conditions", "pairing", str, None),
+    "out_dir": ("output", "dir", str, "out"),
+    "outputs": ("output", "outputs", _parse_outputs, None),
+}
 
 
-def build_model(cfg: ScenarioConfig) -> tuple[HamiltonianModel, object]:
-    """The configured model and the parameter record its closed forms take,
-    ``RotatingSpinParams`` or ``RobustModelParams`` (None for other models)."""
-    params = cfg.model_params
-    name = cfg.model_name
+def _need(params: dict, key: str, cast=float):
+    return _finite(_get(params, key, cast, "model"), f"field '{key}' in [model]")
 
-    def need(key, cast=float):
-        return _finite(_get(params, key, cast, where="model"), f"field '{key}' in [model]")
 
-    try:
-        if name == "rotating_spin":
-            rot = RotatingSpinParams(eta=need("eta"), xi=need("xi"), K=need("k"))
-            return rotating_spin(rot), rot
-        if name == "robust":
-            robust = RobustModelParams(
-                eta=need("eta"), eta0=need("eta0"), eta1=need("eta1"), eta2=need("eta2")
+def _parse_scalar_descriptor(params: dict, prefix: str) -> SmoothScalar:
+    kind = params.get(f"{prefix}_type", "const").strip().lower()
+    key = f"{prefix}_coeffs"
+    coeffs = _get(params, key, lambda raw: [float(v) for v in raw.split(",")], "model")
+    _finite(coeffs, f"field '{key}' in [model]")
+    if kind in ("const", "constant"):
+        if len(coeffs) != 1:
+            raise ConfigError(f"'{prefix}_coeffs' in [model]: constant wants one value")
+        return SmoothScalar.constant(coeffs[0])
+    if kind in ("poly", "polynomial"):
+        return SmoothScalar.poly(coeffs)
+    if kind in ("sin", "sinusoid"):
+        if len(coeffs) not in (3, 4):
+            raise ConfigError(
+                f"'{prefix}_coeffs' in [model]: sinusoid wants offset,amplitude,omega[,phase]"
             )
-            return robust_model(robust), robust
-        if name == "bloch_curve":
-            curve = BlochCurveModel(
-                theta=_parse_scalar_descriptor(params, "theta", "model"),
-                phi=_parse_scalar_descriptor(params, "phi", "model"),
-                A=SmoothScalar.constant(need("a") if "a" in params else 0.0),
-                B=SmoothScalar.constant(need("b") if "b" in params else 1.0),
-            )
-            return bloch_curve(curve), None
-        if name == "fourier":
-            dim = need("dim", int)
-            if dim < 2:
-                raise ConfigError(f"field 'dim' in [model]: must be an integer >= 2, got {dim}")
-            terms = [_parse_term(key, params[key]) for key in sorted(params) if key.startswith("term")]
-            return fourier_nlevel(dim, terms), None
-    except QgplabError:
-        raise
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"section [model]: {exc}") from exc
-    raise ConfigError(f"field 'name' in [model]: unknown model {cfg.model_name!r}")
+        return SmoothScalar.sinusoid(*coeffs)
+    raise ConfigError(f"'{prefix}_type' in [model]: unknown kind {kind!r}")
 
 
 def _parse_term(key: str, raw: str) -> FourierTerm:
@@ -318,6 +178,150 @@ def _parse_term(key: str, raw: str) -> FourierTerm:
     for name, value in (("matrix", matrix), *numbers.items()):
         _finite(value, f"{where} ({name})")
     return FourierTerm(matrix=np.asarray(matrix, dtype=complex), **numbers)
+
+
+def _rotating_spin(params: dict):
+    rot = RotatingSpinParams(eta=_need(params, "eta"), xi=_need(params, "xi"), K=_need(params, "k"))
+    return rotating_spin(rot), rot
+
+
+def _robust(params: dict):
+    robust = RobustModelParams(*(_need(params, key) for key in ("eta", "eta0", "eta1", "eta2")))
+    return robust_model(robust), robust
+
+
+def _bloch_curve(params: dict):
+    theta = _parse_scalar_descriptor(params, "theta")
+    phi = _parse_scalar_descriptor(params, "phi")
+    a = _need(params, "a") if "a" in params else 0.0
+    b = _need(params, "b") if "b" in params else 1.0
+    if not b > 0:
+        raise ConfigError(f"field 'b' in [model]: must be positive, got {b!r}")
+    curve = BlochCurveModel(theta=theta, phi=phi, A=SmoothScalar.constant(a), B=SmoothScalar.constant(b))
+    return bloch_curve(curve), None
+
+
+def _fourier(params: dict):
+    dim = _need(params, "dim", int)
+    if dim < 2:
+        raise ConfigError(f"field 'dim' in [model]: must be an integer >= 2, got {dim}")
+    terms = [_parse_term(key, params[key]) for key in sorted(params) if key.startswith("term")]
+    return fourier_nlevel(dim, terms), None
+
+
+#: model name -> (float-valued keys, which [sweep] takes; its other keys;
+#: the builder of the model and of the record its closed forms take)
+_MODELS = {
+    "rotating_spin": (("eta", "xi", "k"), (), _rotating_spin),
+    "robust": (("eta", "eta0", "eta1", "eta2"), (), _robust),
+    "bloch_curve": (("a", "b"), ("theta_type", "theta_coeffs", "phi_type", "phi_coeffs"), _bloch_curve),
+    "fourier": ((), ("dim", "term*"), _fourier),
+}
+
+
+def parse_config(path: str) -> ScenarioConfig:
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    try:
+        read = parser.read(path)
+        # values are interpolated on access, so read them all here
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
+    if not read:
+        raise ConfigError(f"cannot read config file {path!r}")
+    if parser.defaults():
+        raise ConfigError("unknown section [DEFAULT] (its keys would enter every section)")
+    if "model" not in sections:
+        raise ConfigError("missing section [model]")
+    model_section = sections["model"]
+    name = _get(model_section, "name", str, "model").strip().lower()
+    params = {k: v for k, v in model_section.items() if k != "name"}
+    _check_keys(sections, name)
+
+    cfg = ScenarioConfig(model_name=name, model_params=params)
+    for attr, (section, key, cast, _) in _FIELDS.items():
+        if key in sections.get(section, {}):
+            setattr(cfg, attr, _get(sections[section], key, cast, section))
+    sweep = sections.get("sweep", {})
+    cfg.sweep = {key: _get(sweep, key, _float_list, "sweep") for key in sweep}
+    return cfg
+
+
+def _check_keys(sections: dict[str, dict], model_name: str) -> None:
+    """Reject an unknown model, section or key, naming the first one."""
+    if model_name not in _MODELS:
+        raise ConfigError(f"field 'name' in [model]: unknown model {model_name!r}")
+    floats, others, _ = _MODELS[model_name]
+    model_keys = others + floats
+    allowed = {}
+    for section, key, *_ in _FIELDS.values():
+        allowed.setdefault(section, []).append(key)
+    allowed.update(model=("name", *model_keys), sweep=floats)
+    for section, values in sections.items():
+        if section not in allowed:
+            raise ConfigError(f"unknown section [{section}] (choose from {', '.join(allowed)})")
+        for key in values:
+            if any(fnmatchcase(key, pattern) for pattern in allowed[section]):
+                continue
+            if section == "sweep" and any(fnmatchcase(key, p) for p in model_keys):
+                raise ConfigError(
+                    f"field '{key}' in [sweep]: not a float-valued key of {model_name}"
+                    f" (sweepable: {', '.join(floats) or 'none'})"
+                )
+            raise ConfigError(
+                f"field '{key}' in [{section}]: unknown key"
+                f" (choose from {', '.join(allowed[section])})"
+            )
+
+
+def _validate(cfg: ScenarioConfig, sources: dict[str, str]) -> None:
+    """Check the scalar fields; ``sources`` names the option that set a field.
+
+    Model parameters and ``level`` are checked when ``ScenarioRun`` builds
+    the model.
+    """
+
+    def where(attr: str) -> str:
+        section, key = _FIELDS[attr][:2]
+        return sources.get(attr, f"field '{key}' in [{section}]")
+
+    if cfg.samples < MIN_GRID:
+        raise ConfigError(f"{where('samples')}: grid size {cfg.samples} < {MIN_GRID}")
+    for attr in ("tau_start", "tau_end"):
+        _finite(getattr(cfg, attr), where(attr))
+    if not cfg.tau_end > cfg.tau_start:
+        raise ConfigError(f"{where('tau_end')}: must exceed tau_start")
+    with np.errstate(over="ignore", invalid="ignore"):
+        taus = np.linspace(cfg.tau_start, cfg.tau_end, cfg.samples)
+        if not (np.isfinite(taus).all() and np.all(np.diff(taus) > 0)):
+            raise ConfigError(
+                f"{where('samples')}: {cfg.samples} samples on [{cfg.tau_start!r}, "
+                f"{cfg.tau_end!r}] give no increasing finite grid"
+            )
+    if not (np.isfinite(cfg.tol) and cfg.tol > 0):
+        raise ConfigError(f"{where('tol')}: must be finite and positive, got {cfg.tol!r}")
+    if not 0.0 < cfg.delta < 1.0:
+        raise ConfigError(f"{where('delta')}: must lie in (0, 1)")
+    threshold = cfg.traditional_threshold
+    if not (np.isfinite(threshold) and threshold > 0):
+        raise ConfigError(
+            f"{where('traditional_threshold')}: must be finite and positive, got {threshold!r}"
+        )
+    if cfg.pairing not in ("conservative", "strict"):
+        raise ConfigError(f"{where('pairing')}: conservative or strict")
+    for key, values in cfg.sweep.items():
+        _finite(values, f"field '{key}' in [sweep]")
+
+
+def build_model(cfg: ScenarioConfig) -> tuple[HamiltonianModel, object]:
+    """The configured model and the parameter record its closed forms take,
+    ``RotatingSpinParams`` or ``RobustModelParams`` (None for other models)."""
+    try:
+        return _MODELS[cfg.model_name][2](cfg.model_params)
+    except QgplabError:
+        raise
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"section [model]: {exc}") from exc
 
 
 class ScenarioRun:
@@ -368,8 +372,13 @@ def cmd_simulate(cfg: ScenarioConfig) -> int:
     if not written:
         raise ConfigError("field 'outputs' in [output]: simulate writes trajectory or fidelity")
     run = ScenarioRun(cfg)
+    grid, closed_form = run.grid, []
+    if "fidelity" in written and isinstance(run.params, RotatingSpinParams):
+        # ahead of the evolution, as it may not exist (A = 0); the closed form
+        # counts time from the start of the evolution
+        closed_form = [metrics.closed_form_F(run.params, grid.samples - cfg.tau_start)]
+    result, fid = run.evolution, run.fidelity
     out = reporting.ensure_dir(cfg.out_dir)
-    grid, result, fid = run.grid, run.evolution, run.fidelity
 
     if "trajectory" in written:
         columns = [grid.samples]
@@ -382,15 +391,8 @@ def cmd_simulate(cfg: ScenarioConfig) -> int:
         reporting.write_csv(f"{out}/trajectory.csv", header, columns)
 
     if "fidelity" in written:
-        fid_header = ["tau", "F_simulated"]
-        fid_columns = [grid.samples, fid.values]
-        if isinstance(run.params, RotatingSpinParams):
-            # the closed form counts time from the start of the evolution
-            fid_header.append("F_closed_form")
-            fid_columns.append(
-                np.asarray(metrics.closed_form_F(run.params, grid.samples - cfg.tau_start))
-            )
-        reporting.write_csv(f"{out}/fidelity.csv", fid_header, fid_columns)
+        header = ["tau", "F_simulated", "F_closed_form"][: 2 + len(closed_form)]
+        reporting.write_csv(f"{out}/fidelity.csv", header, [grid.samples, fid.values, *closed_form])
     files = " and ".join(f"{out}/{name}.csv" for name in written)
     print(f"simulate: wrote {files} (min F = {reporting.format_float(np.min(fid.values))})")
     return 0
@@ -398,29 +400,15 @@ def cmd_simulate(cfg: ScenarioConfig) -> int:
 
 def cmd_conditions(cfg: ScenarioConfig) -> int:
     run = ScenarioRun(cfg)
-    out = reporting.ensure_dir(cfg.out_dir)
     report = run.report
-
-    header = ["tau", "gap", "|gamma|", "delta_qgp", "traditional_ratio", "new_ratio"]
     multi = len(report.pairs) > 1
-    for pair_series in report.pairs:
-        ratio = (
-            pair_series.new_ratio_conservative
-            if cfg.pairing == "conservative"
-            else pair_series.new_ratio_strict
-        )
-        columns = [
-            run.grid.samples,
-            pair_series.gap,
-            pair_series.gamma_abs,
-            pair_series.delta,
-            pair_series.traditional_ratio,
-            ratio,
+    tables = {
+        f"conditions_m{p.pair[0]}_n{p.pair[1]}.csv" if multi else "conditions.csv": [
+            run.grid.samples, p.gap, p.gamma_abs, p.delta, p.traditional_ratio,
+            getattr(p, f"new_ratio_{cfg.pairing}"),
         ]
-        m, n = pair_series.pair
-        name = f"conditions_m{m}_n{n}.csv" if multi else "conditions.csv"
-        reporting.write_csv(f"{out}/{name}", header, columns)
-
+        for p in report.pairs
+    }
     lines = [
         f"model: {report.model_label}",
         f"level: {report.level}",
@@ -443,6 +431,11 @@ def cmd_conditions(cfg: ScenarioConfig) -> int:
         lines.append(f"observed min fidelity: {reporting.format_float(np.min(fid.values))}")
         lines.append(f"observed min occupation: {reporting.format_float(np.min(occ.values))}")
     text = "\n".join(lines) + "\n"
+
+    out = reporting.ensure_dir(cfg.out_dir)
+    header = ["tau", "gap", "|gamma|", "delta_qgp", "traditional_ratio", "new_ratio"]
+    for name, columns in tables.items():
+        reporting.write_csv(f"{out}/{name}", header, columns)
     with open(f"{out}/summary.txt", "w", newline="\n") as fh:
         fh.write(text)
     print(text, end="")
@@ -568,18 +561,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: config field -> the option that overrides it
-_OVERRIDES = {"out_dir": "out", "samples": "grid", "tol": "tol", "delta": "delta"}
-
-
 def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> dict[str, str]:
     """Set the fields given as options; map each to the option that set it."""
     sources = {}
-    for key, option in _OVERRIDES.items():
-        value = getattr(args, option, None)
+    for attr, (*_, option) in _FIELDS.items():
+        value = getattr(args, option, None) if option else None
         if value is not None:
-            setattr(cfg, key, value)
-            sources[key] = f"option --{option}"
+            setattr(cfg, attr, value)
+            sources[attr] = f"option --{option}"
     return sources
 
 

@@ -115,49 +115,30 @@ def condition_report(
                     f"Delta_{m}{n} undefined (gamma_{n}{m} vanishes) but other "
                     "couplings out of the level persist"
                 )
-            zeros = np.zeros_like(gap)
-            pairs.append(
-                PairConditionSeries(
-                    pair=(m, n),
-                    gap=gap,
-                    gamma_abs=gamma_abs,
-                    delta=np.full_like(gap, np.nan),
-                    traditional_ratio=zeros,
-                    new_ratio_strict=zeros,
-                    new_ratio_conservative=zeros.copy(),
-                )
-            )
-            continue
-        series = qgp_mod.qgp(frame, m, n)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            trad = gamma_abs / np.abs(gap)
-            denom = np.abs(gap + series.delta)
-            strict = gamma_abs / denom
-            conservative = max_coupling / denom
-        pairs.append(
-            PairConditionSeries(
-                pair=(m, n),
-                gap=gap,
-                gamma_abs=gamma_abs,
-                delta=series.delta,
-                traditional_ratio=trad,
-                new_ratio_strict=strict,
-                new_ratio_conservative=conservative,
-            )
-        )
+            delta = np.full_like(gap, np.nan)
+            trad = strict = conservative = np.zeros_like(gap)
+        else:
+            delta = qgp_mod.qgp(frame, m, n).delta
+            with np.errstate(invalid="ignore", divide="ignore"):
+                trad = gamma_abs / np.abs(gap)
+                denom = np.abs(gap + delta)
+                strict = gamma_abs / denom
+                conservative = max_coupling / denom
+        pairs.append(PairConditionSeries(
+            pair=(m, n), gap=gap, gamma_abs=gamma_abs, delta=delta, traditional_ratio=trad,
+            new_ratio_strict=strict, new_ratio_conservative=conservative,
+        ))
 
-    trad_stack = np.stack([p.traditional_ratio for p in pairs])
-    i_pair, i_tau = np.unravel_index(np.argmax(trad_stack), trad_stack.shape)
-    max_trad = float(trad_stack[i_pair, i_tau])
-    tau_trad = float(taus[i_tau])
-
-    def masked_max(stack: np.ndarray) -> tuple[float, float]:
+    def masked_max(name: str) -> tuple[float, float]:
+        """The largest finite ratio ``name`` over all pairs, and its tau."""
+        stack = np.stack([getattr(p, name) for p in pairs])
         masked = np.where(np.isfinite(stack), stack, -np.inf)
         j_pair, j_tau = np.unravel_index(np.argmax(masked), masked.shape)
         return float(masked[j_pair, j_tau]), float(taus[j_tau])
 
-    max_strict, tau_strict = masked_max(np.stack([p.new_ratio_strict for p in pairs]))
-    max_cons, tau_cons = masked_max(np.stack([p.new_ratio_conservative for p in pairs]))
+    max_trad, tau_trad = masked_max("traditional_ratio")
+    max_strict, tau_strict = masked_max("new_ratio_strict")
+    max_cons, tau_cons = masked_max("new_ratio_conservative")
     max_new, tau_new = (max_cons, tau_cons) if pairing == "conservative" else (max_strict, tau_strict)
 
     new_threshold = delta_threshold / math.sqrt(dim - 1)

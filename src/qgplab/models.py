@@ -108,10 +108,11 @@ class SmoothScalar:
 class AnalyticFrame:
     """Closed-form eigenframe sampled on a tau array.
 
-    ``frame_at(taus)`` returns (energies (K, N) ascending, vectors (K, N, N)
-    with eigenvector columns, gamma (K, N, N)) in the model's chosen gauge.
-    ``delta_at``, when present, returns the closed-form QGP matrix
-    Delta[m, n] on the same level ordering.
+    ``frame_at(taus)`` takes a 1-D float array of K taus and returns
+    (energies (K, N) ascending, vectors (K, N, N) with eigenvector columns,
+    gamma (K, N, N)) in the model's chosen gauge.  ``delta_at``, when
+    present, returns the closed-form QGP matrix Delta[m, n] on the same
+    level ordering.
     """
 
     frame_at: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -122,9 +123,11 @@ class AnalyticFrame:
 class HamiltonianModel:
     """Time-dependent Hermitian generator with optional analytic structure.
 
-    The model is batch-only: ``evaluate_batch`` maps a float array of K taus
-    to h, shape (K, dim, dim), and ``derivative_batch``, when present, gives
-    dh/dtau the same way.  ``evaluate`` is the single-tau view of ``sample``.
+    The model is batch-only: ``evaluate_batch`` maps a 1-D float array of K
+    taus to h, shape (K, dim, dim), and ``derivative_batch``, when present,
+    gives dh/dtau the same way.  ``sample`` and ``sample_derivative`` turn
+    any tau or taus into that array, so the closures receive nothing else.
+    ``evaluate`` is the single-tau view of ``sample``.
     """
 
     dim: int
@@ -133,18 +136,18 @@ class HamiltonianModel:
     analytic_frame: AnalyticFrame | None = None
     label: str = ""
 
-    def sample(self, taus: np.ndarray) -> np.ndarray:
+    def sample(self, taus) -> np.ndarray:
         """h at every tau in ``taus``; shape (K, dim, dim)."""
-        return self.evaluate_batch(np.asarray(taus, dtype=float))
+        return self.evaluate_batch(np.atleast_1d(np.asarray(taus, dtype=float)))
 
-    def sample_derivative(self, taus: np.ndarray) -> np.ndarray:
+    def sample_derivative(self, taus) -> np.ndarray:
         if self.derivative_batch is None:
             raise InvalidParamsError(f"model {self.label!r} has no analytic derivative")
-        return self.derivative_batch(np.asarray(taus, dtype=float))
+        return self.derivative_batch(np.atleast_1d(np.asarray(taus, dtype=float)))
 
     def evaluate(self, tau: float) -> np.ndarray:
         """h at the single time ``tau``; shape (dim, dim)."""
-        return self.sample(np.array([tau]))[0]
+        return self.sample(tau)[0]
 
 
 def _hermitian_2x2(z, upper, lower, a=None) -> np.ndarray:
@@ -156,6 +159,36 @@ def _hermitian_2x2(z, upper, lower, a=None) -> np.ndarray:
     out[:, 0, 1] = upper
     out[:, 1, 0] = lower
     return out
+
+
+def _spin_half_frame(a, b, c, s, phi, phi_dot, coupling):
+    """Frame of a*I + b*nhat.sigma with nhat at azimuth ``phi`` (K,) and c, s =
+    cos, sin of half its polar angle: columns (s, -c e^{i phi}) for a - b and
+    (c, s e^{i phi}) for a + b, gamma_nn = -phi_dot (c^2, s^2), gamma_01 = coupling."""
+    eip = np.exp(1j * phi)
+    k = eip.size
+    energies = np.empty((k, 2))
+    energies[:, 0] = a - b
+    energies[:, 1] = a + b
+    vectors = np.empty((k, 2, 2), dtype=complex)
+    vectors[:, 0, 0] = s
+    vectors[:, 1, 0] = -c * eip
+    vectors[:, 0, 1] = c
+    vectors[:, 1, 1] = s * eip
+    gamma = np.empty((k, 2, 2), dtype=complex)
+    gamma[:, 0, 0] = -phi_dot * c * c
+    gamma[:, 1, 1] = -phi_dot * s * s
+    gamma[:, 0, 1] = coupling
+    gamma[:, 1, 0] = np.conjugate(coupling)
+    return energies, vectors, gamma
+
+
+def _spin_half_delta(taus, d) -> np.ndarray:
+    """(K, 2, 2) QGP matrix with Delta_10 = d = -Delta_01."""
+    delta = np.zeros((taus.size, 2, 2))
+    delta[:, 1, 0] = d
+    delta[:, 0, 1] = -d
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -217,46 +250,23 @@ def rotating_spin(params: RotatingSpinParams) -> HamiltonianModel:
     omega = params.omega
 
     def evaluate_batch(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
         off = xi * np.exp(-1j * (omega * taus))  # xi*(cos - i sin) couples |0><1|
         return _hermitian_2x2(eta, off, np.conjugate(off))
 
     def derivative_batch(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
         doff = -1j * omega * xi * np.exp(-1j * (omega * taus))
         return _hermitian_2x2(0.0, doff, np.conjugate(doff), a=0.0)  # diagonal +0.0
 
+    # the Bloch curve theta = acos(eta/E), phi = omega*tau, B = E, A = 0
     half = 0.5 * math.acos(params.cos_theta)
-    c, s = math.cos(half), math.sin(half)
-    e = params.energy
+    c, s, e = math.cos(half), math.sin(half), params.energy
     g_abs = K * eta * params.sin_theta
 
     def frame_at(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        k = taus.size
-        energies = np.empty((k, 2))
-        energies[:, 0] = -e
-        energies[:, 1] = e
-        drive = np.exp(1j * omega * taus)
-        # Columns: level 0 = lower orbit, level 1 = upper orbit.
-        vectors = np.zeros((k, 2, 2), dtype=complex)
-        vectors[:, 0, 0] = s
-        vectors[:, 1, 0] = -c * drive
-        vectors[:, 0, 1] = c
-        vectors[:, 1, 1] = s * drive
-        gamma = np.zeros((k, 2, 2), dtype=complex)
-        gamma[:, 0, 0] = -2.0 * K * eta * c * c
-        gamma[:, 1, 1] = -2.0 * K * eta * s * s
-        gamma[:, 0, 1] = g_abs
-        gamma[:, 1, 0] = g_abs
-        return energies, vectors, gamma
+        return _spin_half_frame(0.0, e, c, s, omega * taus, omega, g_abs)
 
     def delta_at(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        delta = np.zeros((taus.size, 2, 2))
-        delta[:, 1, 0] = params.qgp
-        delta[:, 0, 1] = -params.qgp
-        return delta
+        return _spin_half_delta(taus, params.qgp)
 
     return HamiltonianModel(
         dim=2,
@@ -344,12 +354,10 @@ def robust_model(params: RobustModelParams) -> HamiltonianModel:
     p = params
 
     def evaluate_batch(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
         hx, hy, hz = _robust_bloch_components(p, taus)
         return _hermitian_2x2(hz, hx - 1j * hy, hx + 1j * hy)
 
     def derivative_batch(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
         c2e, s2e, s2f, c2f = _robust_trig(p, taus)
         dhx = (
             -2 * p.eta * p.eta0 * s2e
@@ -461,7 +469,6 @@ def bloch_curve(curve: BlochCurveModel) -> HamiltonianModel:
         return th, ph, a, b
 
     def evaluate_batch(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
         th, ph, a, b = components(taus)
         nx = np.sin(th) * np.cos(ph)
         ny = np.sin(th) * np.sin(ph)
@@ -473,7 +480,6 @@ def bloch_curve(curve: BlochCurveModel) -> HamiltonianModel:
     if curve.has_analytic_derivatives:
 
         def derivative_batch(taus):
-            taus = np.atleast_1d(np.asarray(taus, dtype=float))
             th, ph, a, b = components(taus)
             td, pd = curve.theta.d1(taus), curve.phi.d1(taus)
             ad, bd = curve.A.d1(taus), curve.B.d1(taus)
@@ -489,36 +495,17 @@ def bloch_curve(curve: BlochCurveModel) -> HamiltonianModel:
             return _hermitian_2x2(bz, bx - 1j * by, bx + 1j * by, a=ad)
 
         def frame_at(taus):
-            taus = np.atleast_1d(np.asarray(taus, dtype=float))
             th, ph, a, b = components(taus)
-            energies = np.stack([a - b, a + b], axis=1)
             half = 0.5 * th
-            c, s = np.cos(half), np.sin(half)
-            eip = np.exp(1j * ph)
-            vectors = np.zeros((taus.size, 2, 2), dtype=complex)
-            vectors[:, 0, 0] = s
-            vectors[:, 1, 0] = -c * eip
-            vectors[:, 0, 1] = c
-            vectors[:, 1, 1] = s * eip
-            pd = curve.phi.d1(taus)
-            g_mp = bloch_coupling(curve, taus)  # gamma_{-+}
-            gamma = np.zeros((taus.size, 2, 2), dtype=complex)
-            gamma[:, 1, 1] = -pd * s * s  # gamma_{++}
-            gamma[:, 0, 0] = -pd * c * c  # gamma_{--}
-            gamma[:, 0, 1] = g_mp
-            gamma[:, 1, 0] = np.conjugate(g_mp)
-            return energies, vectors, gamma
+            return _spin_half_frame(
+                a, b, np.cos(half), np.sin(half), ph, curve.phi.d1(taus), bloch_coupling(curve, taus)
+            )
 
         delta_at = None
         if all(s.deriv2 is not None for s in (curve.theta, curve.phi)):
 
             def delta_at(taus):
-                taus = np.atleast_1d(np.asarray(taus, dtype=float))
-                d = bloch_qgp(curve, taus)
-                delta = np.zeros((taus.size, 2, 2))
-                delta[:, 1, 0] = d
-                delta[:, 0, 1] = -d
-                return delta
+                return _spin_half_delta(taus, bloch_qgp(curve, taus))
 
         analytic = AnalyticFrame(frame_at=frame_at, delta_at=delta_at)
 
@@ -564,14 +551,12 @@ def fourier_nlevel(dim: int, terms: list[FourierTerm]) -> HamiltonianModel:
     phases = np.array([t.phase for t in terms], dtype=float)
 
     def evaluate_batch(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
         if not len(terms):
             return np.zeros((taus.size, dim, dim), dtype=complex)
         weights = amps * np.cos(np.outer(taus, omegas) + phases)
         return np.einsum("kt,tij->kij", weights, stack)
 
     def derivative_batch(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
         if not len(terms):
             return np.zeros((taus.size, dim, dim), dtype=complex)
         weights = -amps * omegas * np.sin(np.outer(taus, omegas) + phases)
@@ -591,11 +576,9 @@ def constant_model(h: np.ndarray, label: str = "constant") -> HamiltonianModel:
     dim = h.shape[0]
 
     def evaluate_batch(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
         return np.broadcast_to(h, (taus.size, dim, dim)).copy()
 
     def derivative_batch(taus):
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
         return np.zeros((taus.size, dim, dim), dtype=complex)
 
     return HamiltonianModel(

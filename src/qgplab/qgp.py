@@ -293,8 +293,7 @@ def reparametrized_model(model: HamiltonianModel, rmap: ReparamMap) -> Hamiltoni
     """
 
     def evaluate_batch(tau_primes):
-        tps = np.atleast_1d(np.asarray(tau_primes, dtype=float))
-        tau = rmap.inverse(tps)
+        tau = rmap.inverse(tau_primes)
         gp = 1.0 / rmap.f.d1(tau)
         return gp[:, None, None] * model.sample(tau)
 
@@ -302,8 +301,7 @@ def reparametrized_model(model: HamiltonianModel, rmap: ReparamMap) -> Hamiltoni
     if model.derivative_batch is not None and rmap.f.deriv2 is not None:
 
         def derivative_batch(tau_primes):
-            tps = np.atleast_1d(np.asarray(tau_primes, dtype=float))
-            tau = rmap.inverse(tps)
+            tau = rmap.inverse(tau_primes)
             fp = rmap.f.d1(tau)
             fpp = rmap.f.d2(tau)
             gp = 1.0 / fp

@@ -60,6 +60,21 @@ samples = 128
 dir = {out}
 """
 
+#: a level crossing: the gap 2|cos(tau)| closes at the sample tau = pi/2
+CROSSING_CONFIG = """
+[model]
+name = fourier
+dim = 2
+term1 = {{"matrix": "sigma_z", "omega": 1.0, "amplitude": 1.0}}
+
+[run]
+tau_end = 3.141592653589793
+samples = 65
+
+[output]
+dir = {out}
+"""
+
 
 #: every exception class of the package, the base class included
 PACKAGE_ERRORS = [
@@ -165,16 +180,13 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", str(config), "--grid", "8"]) == 2
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
-        # B < 0 closes the gap at sampling time: a numerical error, not a
-        # config one
+        # a valid config whose gap closes on the sampled grid: a numerical
+        # error, not a config one
         path = tmp_path / "closed.ini"
-        path.write_text(
-            "[model]\nname = bloch_curve\ntheta_type = const\ntheta_coeffs = 1.0\n"
-            "phi_type = poly\nphi_coeffs = 0.0,1.0\nb = -1.0\n"
-            f"[run]\ntau_end = 1.0\nsamples = 128\n[output]\ndir = {tmp_path / 'out'}\n"
-        )
+        path.write_text(CROSSING_CONFIG.format(out=tmp_path / "out"))
         assert cli.main(["simulate", "--config", str(path)]) == 3
         assert "gap" in capsys.readouterr().err.lower()
+        assert not (tmp_path / "out").exists()
 
     def test_closed_form_column_counts_from_tau_start(self, tmp_path):
         params = RotatingSpinParams(eta=1.0, xi=0.5, K=2.0)
@@ -283,6 +295,22 @@ class TestSimulate:
         first = (tmp_path / "out" / "trajectory.csv").read_bytes()
         assert cli.main(["simulate", "--config", str(config)]) == 0
         assert (tmp_path / "out" / "trajectory.csv").read_bytes() == first
+        # every writer: each file of each subcommand, run twice
+        config.write_text(config.read_text() + "\n[sweep]\nk = 1.5, 2.0\nxi = 0.5\n")
+        runs = {
+            "simulate": (["--config", str(config)], ["trajectory.csv", "fidelity.csv"]),
+            "conditions": (["--config", str(config)], ["conditions.csv", "summary.txt"]),
+            "sweep": (["--config", str(config), "--grid", "128"], ["summary.csv"]),
+            "figure1": (["--grid", "128"], ["bloch.csv", "P.csv", "figure1.svg"]),
+        }
+        for command, (args, files) in runs.items():
+            outputs = []
+            for rerun in range(2):
+                out = tmp_path / f"{command}{rerun}"
+                assert cli.main([command, *args, "--out", str(out)]) == 0
+                assert sorted(p.name for p in out.iterdir()) == sorted(files)
+                outputs.append([(out / name).read_bytes() for name in files])
+            assert outputs[0] == outputs[1], command
 
 
 class TestConditions:
@@ -592,9 +620,11 @@ class TestInputEdges:
             line for line in text.replace("dim = 2", "dim = 0").splitlines(keepends=True)
             if not line.startswith("term1")),
          "field 'dim' in [model]: must be an integer >= 2, got 0"),
+        ("bloch", add("model", "b = -1"), "field 'b' in [model]: must be positive, got -1.0"),
+        ("bloch", add("model", "b = 0"), "field 'b' in [model]: must be positive, got 0.0"),
     ], ids=["b-nan", "a-inf", "coeffs-nan", "omega-nan", "amplitude-inf", "phase-nan",
             "matrix-nan", "term-not-object", "entry-not-a-pair", "dim-negative", "dim-one",
-            "dim-zero-no-terms"])
+            "dim-zero-no-terms", "b-negative", "b-zero"])
     def test_bad_model_param_exits_2(self, tmp_path, capsys, base, damage, message):
         path = tmp_path / "model.ini"
         path.write_text(damage(base_config(base, tmp_path / "out")))
@@ -652,6 +682,44 @@ class TestInputEdges:
         ).replace("outputs = trajectory,fidelity,conditions", "outputs = fidelity"))
         assert cli.main(["simulate", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: A = 0")
+        assert not (tmp_path / "out").exists()
+
+    def test_degenerate_closed_form_fails_before_the_evolution(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the evolution ran")
+
+        monkeypatch.setattr(cli, "evolve_schrodinger", never)
+        path = tmp_path / "degenerate.ini"
+        path.write_text(ROTATING_CONFIG.format(
+            eta=1.0, xi=1e-16, k=1.0, tau_end=1.0, samples=256, out=tmp_path / "out",
+        ).replace("outputs = trajectory,fidelity,conditions", "outputs = trajectory,fidelity"))
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: A = 0")
+        assert not (tmp_path / "out").exists()
+
+    def test_conditions_gap_closure_exits_3_without_a_directory(self, tmp_path, capsys):
+        path = tmp_path / "crossing.ini"
+        path.write_text(CROSSING_CONFIG.format(out=tmp_path / "out"))
+        assert cli.main(["conditions", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("numerical error: min gap ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tau_start,tau_end", [("-1e308", "1e308"), ("1.0", "1.000000000000001")],
+                             ids=["overflowing-span", "span-below-resolution"])
+    @pytest.mark.parametrize("grid,where", [(None, "field 'samples' in [run]"),
+                                            ("64", "option --grid")], ids=["config", "option"])
+    def test_span_without_a_grid_exits_2(self, tmp_path, capsys, tau_start, tau_end, grid, where):
+        path = tmp_path / "span.ini"
+        path.write_text(ROTATING_CONFIG.format(
+            eta=1.0, xi=0.5, k=1.0, tau_end=tau_end, samples=64, out=tmp_path / "out",
+        ).replace("tau_start = 0.0", f"tau_start = {tau_start}"))
+        args = [] if grid is None else ["--grid", grid]
+        assert cli.main(["conditions", "--config", str(path), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {where}: 64 samples on [{float(tau_start)!r}, ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
     def test_every_package_error_maps_to_an_exit_code(self, tmp_path, capsys, monkeypatch, error):

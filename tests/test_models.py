@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qgplab import linalg, models
+from qgplab import linalg, models, qgp
 from qgplab.errors import GapClosureError, InvalidParamsError, NotHermitianError
 from qgplab.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from qgplab.models import (
@@ -222,6 +222,52 @@ class TestModelInvariants:
         taus = rng.uniform(0.0, 5.0, 16)
         fd = (model.sample(taus + eps) - model.sample(taus - eps)) / (2 * eps)
         assert linalg.max_abs(fd - model.sample_derivative(taus)) < 1e-6
+
+    @pytest.mark.parametrize("name", ["rotating", "robust", "bloch", "fourier", "constant",
+                                      "reparametrized"])
+    def test_sample_returns_one_matrix_per_tau(self, name):
+        zoo = dict(_zoo(), constant=models.constant_model(0.5 * SIGMA_X + SIGMA_Z))
+        rmap = qgp.ReparamMap(f=SmoothScalar.poly([0.0, 1.0, 0.5]), domain=(0.0, 2.0))
+        zoo["reparametrized"] = qgp.reparametrized_model(zoo["rotating"], rmap)
+        model = zoo[name]
+        n = model.dim
+        for sample in (model.sample, model.sample_derivative):
+            assert sample(0.3).shape == (1, n, n)
+            assert sample([0.1, 0.2]).shape == (2, n, n)
+            np.testing.assert_array_equal(sample(0.3)[0], sample([0.1, 0.3])[1])
+
+    @pytest.mark.parametrize("params", [
+        RotatingSpinParams(eta=1.0, xi=0.4, K=2.0),
+        RotatingSpinParams(eta=0.995, xi=0.0999, K=1.0),
+        RotatingSpinParams(eta=0.3, xi=2.5, K=-0.7),
+    ])
+    def test_rotating_spin_frame_is_its_bloch_curve(self, params, rng):
+        # the rotating field is the Bloch curve theta = acos(eta/E), phi = 2 K eta tau
+        # with B = E and A = 0; both closed forms must agree
+        curve = bloch_curve(BlochCurveModel(
+            theta=SmoothScalar.constant(np.arccos(params.eta / params.energy)),
+            phi=SmoothScalar.poly([0.0, 2.0 * params.K * params.eta]),
+            A=SmoothScalar.constant(0.0),
+            B=SmoothScalar.constant(params.energy),
+        ))
+        spin = rotating_spin(params)
+        taus = np.sort(rng.uniform(-3.0, 7.0, 64))
+        for got, want in zip(spin.analytic_frame.frame_at(taus), curve.analytic_frame.frame_at(taus)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-14
+        delta = spin.analytic_frame.delta_at(taus)
+        assert np.max(np.abs(delta - curve.analytic_frame.delta_at(taus))) < 1e-14
+
+    @pytest.mark.parametrize("name", ["rotating", "bloch"])
+    def test_analytic_gamma_is_i_phi_dagger_phi_dot(self, name, rng):
+        # gamma[k, n, m] = i <phi_n|d phi_m/dtau>, by central differences of the
+        # closed-form vectors themselves (same gauge)
+        frame_at = _zoo()[name].analytic_frame.frame_at
+        taus, eps = rng.uniform(0.0, 5.0, 25), 1e-6
+        _, vectors, gamma = frame_at(taus)
+        dv = (frame_at(taus + eps)[1] - frame_at(taus - eps)[1]) / (2 * eps)
+        expected = 1j * np.einsum("kin,kim->knm", vectors.conj(), dv)
+        assert linalg.max_abs(gamma - expected) < 1e-8
 
     @pytest.mark.parametrize("name", ["rotating", "bloch"])
     def test_analytic_frame_solves_eigenproblem(self, name, rng):

@@ -107,10 +107,6 @@ def _parse_outputs(raw: str) -> tuple:
     return outputs
 
 
-def _float_list(raw: str) -> list[float]:
-    return [float(v) for v in raw.split(",") if v.strip() != ""]
-
-
 #: ScenarioConfig field -> (section, key, cast, the option that overrides it);
 #: the sections besides [model] and [sweep] take exactly these keys
 _FIELDS = {
@@ -149,35 +145,6 @@ def _parse_scalar_descriptor(params: dict, prefix: str) -> SmoothScalar:
             )
         return SmoothScalar.sinusoid(*coeffs)
     raise ConfigError(f"'{prefix}_type' in [model]: unknown kind {kind!r}")
-
-
-def _parse_term(key: str, raw: str) -> FourierTerm:
-    """A ``term*`` field: a JSON object with a ``matrix`` (a Pauli name, or
-    rows of numbers or [re, im] pairs) and optional omega, amplitude, phase."""
-    import json
-
-    where = f"field '{key}' in [model]"
-    try:
-        spec = json.loads(raw)
-        matrix = spec["matrix"]
-        if not isinstance(matrix, str):
-            matrix = np.array(
-                [[complex(*c) if isinstance(c, list) and len(c) == 2 else complex(c) for c in row]
-                 for row in matrix]
-            )
-        elif matrix in _PAULI:
-            matrix = _PAULI[matrix]
-        else:
-            raise ConfigError(f"{where}: unknown matrix name {matrix!r}")
-        numbers = {
-            name: float(spec.get(name, default))
-            for name, default in (("omega", 0.0), ("amplitude", 1.0), ("phase", 0.0))
-        }
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"{where}: cannot parse {raw!r} as a term object") from exc
-    for name, value in (("matrix", matrix), *numbers.items()):
-        _finite(value, f"{where} ({name})")
-    return FourierTerm(matrix=np.asarray(matrix, dtype=complex), **numbers)
 
 
 def _rotating_spin(params: dict):
@@ -274,6 +241,10 @@ def _check_keys(sections: dict[str, dict], model_name: str) -> None:
             )
 
 
+def _float_list(raw: str) -> list[float]:
+    return [float(v) for v in raw.split(",") if v.strip() != ""]
+
+
 def _validate(cfg: ScenarioConfig, sources: dict[str, str]) -> None:
     """Check the scalar fields; ``sources`` names the option that set a field.
 
@@ -322,6 +293,35 @@ def build_model(cfg: ScenarioConfig) -> tuple[HamiltonianModel, object]:
         raise
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"section [model]: {exc}") from exc
+
+
+def _parse_term(key: str, raw: str) -> FourierTerm:
+    """A ``term*`` field: a JSON object with a ``matrix`` (a Pauli name, or
+    rows of numbers or [re, im] pairs) and optional omega, amplitude, phase."""
+    import json
+
+    where = f"field '{key}' in [model]"
+    try:
+        spec = json.loads(raw)
+        matrix = spec["matrix"]
+        if not isinstance(matrix, str):
+            matrix = np.array(
+                [[complex(*c) if isinstance(c, list) and len(c) == 2 else complex(c) for c in row]
+                 for row in matrix]
+            )
+        elif matrix in _PAULI:
+            matrix = _PAULI[matrix]
+        else:
+            raise ConfigError(f"{where}: unknown matrix name {matrix!r}")
+        numbers = {
+            name: float(spec.get(name, default))
+            for name, default in (("omega", 0.0), ("amplitude", 1.0), ("phase", 0.0))
+        }
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigError(f"{where}: cannot parse {raw!r} as a term object") from exc
+    for name, value in (("matrix", matrix), *numbers.items()):
+        _finite(value, f"{where} ({name})")
+    return FourierTerm(matrix=np.asarray(matrix, dtype=complex), **numbers)
 
 
 class ScenarioRun:

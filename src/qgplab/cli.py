@@ -453,8 +453,16 @@ FIGURE1 = ScenarioConfig(
 
 def cmd_figure1(cfg: ScenarioConfig) -> int:
     run = ScenarioRun(cfg)
-    out = reporting.ensure_dir(cfg.out_dir)
     grid, frame, result = run.grid, run.frame, run.evolution
+    occ = metrics.occupation(result, frame, cfg.level)
+    p_closed = np.asarray(metrics.closed_form_P(run.params, grid.samples))
+    floor = metrics.p_min(run.params)
+    min_p = float(np.min(occ.values))
+    if min_p < floor - 1e-6:
+        raise NumericalError(
+            f"min occupation {min_p:.9f} fell below the floor {floor:.9f}"
+        )
+    out = reporting.ensure_dir(cfg.out_dir)
 
     evo = reporting.bloch_vector(result.states)
     adia = reporting.bloch_vector(frame.vectors[:, :, cfg.level].copy())
@@ -464,19 +472,10 @@ def cmd_figure1(cfg: ScenarioConfig) -> int:
         [grid.samples, evo[:, 0], evo[:, 1], evo[:, 2], adia[:, 0], adia[:, 1], adia[:, 2]],
     )
 
-    occ = metrics.occupation(result, frame, cfg.level)
-    p_closed = np.asarray(metrics.closed_form_P(run.params, grid.samples))
     reporting.write_csv(
         f"{out}/P.csv", ["tau", "P_simulated", "P_closed_form"],
         [grid.samples, occ.values, p_closed],
     )
-
-    floor = metrics.p_min(run.params)
-    min_p = float(np.min(occ.values))
-    if min_p < floor - 1e-6:
-        raise NumericalError(
-            f"min occupation {min_p:.9f} fell below the floor {floor:.9f}"
-        )
 
     reporting.write_svg_curves(
         f"{out}/figure1.svg",

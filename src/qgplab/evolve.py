@@ -50,8 +50,9 @@ from .frames import COUPLING_FLOOR, SpectralFrame, TimeGrid, adiabatic_trajector
 from .linalg import expm_unitary_batch, matmul_batch, require_state
 from .models import HamiltonianModel
 
-#: step matrices (substeps x rule factors) per vectorized chunk (bounds peak memory)
-_CHUNK_SUBSTEPS = 1 << 19
+#: bytes of each per-chunk stack of step matrices (samples, generators,
+#: exponentials): bounds peak memory for every N; 2**19 matrices at N = 2
+_CHUNK_BYTES = 32 << 20
 
 _MIN_STEP = 1e-12
 
@@ -112,7 +113,8 @@ def _interval_transfers(
     n_nodes = rule.nodes.size
     n_factors = rule.weights.shape[0]
     transfers = np.empty((n_int, dim, dim), dtype=complex)
-    block = max(1, _CHUNK_SUBSTEPS // (substeps * max(n_nodes, n_factors)))
+    matrix_bytes = np.dtype(complex).itemsize * dim * dim
+    block = max(1, _CHUNK_BYTES // (matrix_bytes * substeps * max(n_nodes, n_factors)))
     offsets = ((np.arange(substeps)[:, None] + rule.nodes[None, :]) / substeps).ravel()
     for i0 in range(0, n_int, block):
         i1 = min(i0 + block, n_int)

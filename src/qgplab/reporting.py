@@ -3,6 +3,31 @@
 Floats are printed with 17 significant digits so identical runs produce
 byte-identical files; lines always end with LF.  The vector-graphics writer
 emits plain polyline SVG with no library dependency.
+
+``write_csv`` prints every cell exactly as ``'%.17g' % x`` does (C ``%g``
+with precision 17), with a numpy kernel in place of one ``%`` per cell:
+
+1. The decimal exponent X = floor(log10 |x|) is exact: the binary exponent
+   of x leaves two candidates, and a comparison with the smallest double not
+   below the power of ten between them picks one.
+2. V = |x| * 10**(16 - X) lies in [1e16, 1e17).  It is evaluated in
+   double-double arithmetic, as Dekker's exact product of |x| with the double
+   nearest 10**(16 - X) plus |x| times the rounded rest of that power.  The
+   error is below 1e-13, so the nearest integer to the result is V rounded
+   to 17 significant digits whenever the fraction of V is not within 1e-6 of
+   one half.  A result of 1e17 carries into the exponent.
+3. The sign, the ``0.000`` prefix and the first digit, the other 16 digits
+   (twice: before and after the dot), the dot, and the ``e+dd[d]`` suffix
+   with the separator are taken as 8-byte words from small tables.  A mask
+   row chosen by C's ``%g`` rules (fixed notation for -4 <= X < 17, no
+   trailing zeros) and the number of significant digits clears what is not
+   printed, and deleting the zero bytes compacts a block of rows at once.
+
+A cell whose digits the kernel cannot show to be exact (nan, inf, a
+subnormal, a magnitude outside about 1e-289..1e289, a fraction near one
+half) is printed by one ``%`` operation per block, which formats it as
+``format_float`` does.  The kernel lives in ``qgplab._g17``; it is imported
+and its tables are built, from Python integers, on the first write.
 """
 
 from __future__ import annotations
@@ -12,9 +37,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-
-#: rows formatted per ``%`` operation in ``write_csv``
-_CSV_BLOCK_ROWS = 256
 
 #: width and height of ``write_svg_curves`` drawings, in pixels
 _SVG_SIZE = 640
@@ -27,20 +49,19 @@ def format_float(x: float) -> str:
 def write_csv(path: str, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Write equal-length columns under the given header names.
 
-    Each block of rows is one ``%`` operation on a ``%.17g`` row template,
-    which prints every cell exactly as ``format_float`` does.
+    Every cell is printed exactly as ``format_float`` prints it, by the
+    kernel described in the module docstring.
     """
     lengths = {len(c) for c in columns}
     if len(lengths) > 1:
         raise ValueError(f"column lengths differ: {sorted(lengths)}")
     rows = len(columns[0]) if columns else 0
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        columns = [np.asarray(c, dtype=float) for c in columns]
-        row = ",".join(["%.17g"] * len(columns)) + "\n"
-        for start in range(0, rows, _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[start : start + _CSV_BLOCK_ROWS] for c in columns])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        if rows:
+            from ._g17 import kernel  # compiled on the first write, not at import
+
+            kernel().write(fh, [np.asarray(c, dtype=float) for c in columns])
 
 
 def bloch_vector(states: np.ndarray) -> np.ndarray:

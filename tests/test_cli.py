@@ -705,6 +705,12 @@ class TestInputEdges:
         assert capsys.readouterr().err.startswith("numerical error: min gap ")
         assert not (tmp_path / "out").exists()
 
+    def test_figure1_below_the_floor_exits_3_without_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["figure1", "--out", str(out), "--grid", "64", "--tol", "0.5"]) == 3
+        assert capsys.readouterr().err.startswith("numerical error: min occupation ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("tau_start,tau_end", [("-1e308", "1e308"), ("1.0", "1.000000000000001")],
                              ids=["overflowing-span", "span-below-resolution"])
     @pytest.mark.parametrize("grid,where", [(None, "field 'samples' in [run]"),

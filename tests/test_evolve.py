@@ -179,6 +179,32 @@ class TestStateScan:
         )
 
 
+class TestChunking:
+    CHUNK = 1 << 16
+
+    def test_chunks_are_bounded_in_bytes_and_match_one_chunk(self, rng, monkeypatch):
+        a, b = random_hermitian(rng, 8), random_hermitian(rng, 8)
+        returned = []
+
+        def sample_h(ts):
+            hs = a + ts[:, None, None] * b
+            returned.append(hs.nbytes)
+            return hs
+
+        psi0 = np.eye(8, dtype=complex)[0]
+        taus = np.linspace(0.0, 1.0, 201)
+        monkeypatch.setattr(evolve, "_CHUNK_BYTES", self.CHUNK)
+        chunked = evolve._propagate_fixed(sample_h, psi0, taus, 2, evolve.CF4)
+        # 200 intervals x 2 substeps x 2 nodes of 1 KiB, 16 intervals per chunk
+        assert len(returned) == 13 and max(returned) <= self.CHUNK
+        returned.clear()
+        monkeypatch.setattr(evolve, "_CHUNK_BYTES", 1 << 40)
+        whole = evolve._propagate_fixed(sample_h, psi0, taus, 2, evolve.CF4)
+        assert len(returned) == 1
+        # chunking regroups the exponential's blocks, so equal to rounding only
+        np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-13)
+
+
 def coupling_matrix(frame, monkeypatch):
     """M(tau) that ``evolve_coefficients`` integrates, sampled on the frame grid."""
     generators = []

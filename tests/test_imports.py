@@ -1,4 +1,5 @@
-"""The CLI's import footprint: scipy.optimize loads only when tracking needs it.
+"""The CLI's import footprint: scipy.optimize loads only when tracking needs it,
+and the CSV kernel only when a CSV is written.
 
 A fresh interpreter records whether ``scipy.optimize`` is in ``sys.modules``
 after importing the CLI, after a ``conditions`` run that keeps the eigh
@@ -41,8 +42,10 @@ loaded = lambda: "scipy.optimize" in sys.modules
 state = {}
 from qgplab import cli
 state["after_import"] = loaded()
+state["kernel_after_import"] = "qgplab._g17" in sys.modules
 state["conditions_exit"] = cli.main(["conditions", "--config", config, "--out", out])
 state["after_conditions"] = loaded()
+state["kernel_after_conditions"] = "qgplab._g17" in sys.modules
 import numpy as np
 from qgplab.frames import TimeGrid, build_frame
 sys.path.insert(0, tests)
@@ -86,3 +89,8 @@ def test_level_crossings_load_the_real_solver_and_track(probe):
     assert probe["before_tracking"] is False
     assert probe["after_tracking"] is True
     assert probe["energy_error"] < 1e-12
+
+
+def test_csv_kernel_loads_on_the_first_write(probe):
+    assert probe["kernel_after_import"] is False
+    assert probe["kernel_after_conditions"] is True

@@ -78,7 +78,8 @@ class Kernel:
         self.hi_top = np.ldexp(np.floor(np.ldexp(mantissa, 26)), exponent - 26)
         self.hi_rest = self.hi - self.hi_top
 
-        # a head is (sign, prefix zeros, first digit); a suffix (X, separator)
+        # head 50 sign + 10 zeros + d0 is (sign, prefix zeros, first digit);
+        # suffix 2 i + s is (X index i, separator s)
         fixed = (-4 <= xs) & (xs < 17)
         self.heads = _words([
             sign + ("0." + "0" * (zeros - 1) if zeros else "") + str(d0)
@@ -89,7 +90,6 @@ class Kernel:
             ("" if f else f"e{x:+03d}").ljust(7, "\0") + sep
             for x, f in zip(xs.tolist(), fixed.tolist()) for sep in ",\n"
         ])
-        self.suffix = 2 * np.arange(xs.size)
 
         # 4-digit groups in bytes 0-3 and in bytes 4-7 of a word
         g = np.arange(10_000)
@@ -179,7 +179,7 @@ class Kernel:
         rows[:, 0] = self.heads.take(self.head.take(xi) + 50 * (bits < 0) + d0)
         rows[:, 1] = rows[:, 4] = self.groups.take(g1) | self.groups_high.take(g2)
         rows[:, 2] = rows[:, 5] = self.groups.take(g3) | self.groups_high.take(g4)
-        rows[:, 6] = self.suffixes.take(self.suffix.take(xi) + separator)
+        rows[:, 6] = self.suffixes.take(2 * xi + separator)
         np.take(self.masks, self.mask_row.take(xi) + s, axis=0, out=out, mode="clip")
         out &= rows
 

@@ -129,6 +129,8 @@ def _interval_transfers(
             np.multiply(hs[:, :, 0], row[0], out=generators[:, :, j])
             for k in range(1, n_nodes):
                 generators[:, :, j] += row[k] * hs[:, :, k]
+        # free the samples before the exponentials run their blocks concurrently
+        del hs
         generators = generators.reshape(i1 - i0, substeps * n_factors, dim, dim)
         dts = np.broadcast_to((spans / substeps)[:, None], generators.shape[:2])
         transfers[i0:i1] = _compose_intervals(expm_unitary_batch(generators, dts))

@@ -25,11 +25,29 @@ cost per 2x2 product in a stack (~0.4 us), so for N = 2 it forms the four
 entries as elementwise products of the stacked entries, 5-7x faster on
 (16384, 2, 2) stacks and equal to ``@`` at rounding level; for N > 2 it is
 ``@``.
+
+The batched kernels split their stacks across threads.  ``for_blocks``
+runs the N > 2 exponential, ``eigh_batch`` and the ``fourier`` model's
+sample sums on a thread pool, one fixed contiguous block of the leading
+axis per task, each task writing a disjoint slice of an output allocated
+beforehand.  numpy releases the interpreter lock inside LAPACK, ``matmul``
+and ``einsum``, so the blocks run in parallel.  The pool is created on first
+use with one worker per CPU the process may run on
+(``os.sched_getaffinity``); with one such CPU, or one block, the blocks run
+inline on the calling thread, and there is no option.  The bytes do not
+depend on the thread count: the block boundaries are fixed (``EXPM_BLOCK``
+from index 0), every result is computed per matrix within its block, and
+the exponential picks its Pade degree and squarings per block, exactly as
+an inline loop over the same blocks does.  The public functions themselves
+always run on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from contextvars import copy_context
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +59,15 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-#: matrices per block of the N > 2 batched exponential (bounds its temporaries)
+#: matrices per block of the batched kernels (bounds their temporaries and
+#: fixes where the N > 2 exponential picks its Pade degree)
 EXPM_BLOCK = 1024
+
+#: the pool of ``for_blocks``, created on first use
+_pool = None
+_pool_lock = threading.Lock()
+#: ``worker`` is set on the pool's own threads
+_local = threading.local()
 
 #: (m, theta_m) of Higham (2005), Table 2.3, ascending in m
 _PADE_THETA = (
@@ -136,14 +161,56 @@ def eigh(h: np.ndarray) -> EigenSystem:
     return EigenSystem(values=values, vectors=vectors)
 
 
+def for_blocks(fn, n: int, block: int) -> None:
+    """Call ``fn(k0, k1)`` for the blocks [0, block), [block, 2 block), ...
+    of range(n), on the pool of the module docstring.
+
+    Runs inline when one CPU is usable, when there is one block, or when
+    called from a worker of the pool.  Waits for every block, then raises
+    the error of the first block that failed.
+    """
+    bounds = [(k0, min(k0 + block, n)) for k0 in range(0, n, block)]
+    workers = min(len(os.sched_getaffinity(0)), len(bounds))
+    if workers <= 1 or getattr(_local, "worker", False):
+        for k0, k1 in bounds:
+            fn(k0, k1)
+        return
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                len(os.sched_getaffinity(0)), initializer=setattr, initargs=(_local, "worker", True)
+            )
+    # each block runs in a copy of the caller's context, so np.errstate holds there
+    futures = [_pool.submit(copy_context().run, fn, k0, k1) for k0, k1 in bounds]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
 def eigh_batch(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched Hermitian eigendecomposition over the leading axis.
 
-    Symmetrizes the stack (callers guarantee near-Hermiticity) and returns
-    (values (K, N), vectors (K, N, N)).
+    Symmetrizes each block of the stack (callers guarantee
+    near-Hermiticity) and returns (values (K, N), vectors (K, N, N)).
+    Raises NotHermitianError on non-finite entries.
     """
-    hs = 0.5 * (hs + dagger(hs))
-    return np.linalg.eigh(hs)
+    hs = np.asarray(hs)
+    flat = hs.reshape(-1, *hs.shape[-2:])
+    dtype = np.result_type(hs.dtype, 0.5)
+    values = np.empty(flat.shape[:-1], dtype=np.finfo(dtype).dtype)
+    vectors = np.empty(flat.shape, dtype=dtype)
+
+    def block(k0, k1):
+        h = flat[k0:k1]
+        if not np.isfinite(h).all():
+            raise NotHermitianError("matrix stack contains non-finite entries")
+        values[k0:k1], vectors[k0:k1] = np.linalg.eigh(0.5 * (h + dagger(h)))
+
+    for_blocks(block, flat.shape[0], EXPM_BLOCK)
+    return values.reshape(hs.shape[:-1]), vectors.reshape(hs.shape)
 
 
 def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
@@ -173,11 +240,13 @@ def expm_unitary_batch(hs: np.ndarray, ts: np.ndarray | float) -> np.ndarray:
     flat_hs = hs.reshape(-1, dim, dim)
     flat_ts = ts.reshape(-1)
     out = np.empty(flat_hs.shape, dtype=complex)
-    for k0 in range(0, flat_hs.shape[0], EXPM_BLOCK):
-        k1 = k0 + EXPM_BLOCK
+
+    def block(k0, k1):
         h = flat_hs[k0:k1]
         h = 0.5 * (h + dagger(h))
         out[k0:k1] = _pade_unitary((-1j * flat_ts[k0:k1])[:, None, None] * h)
+
+    for_blocks(block, flat_hs.shape[0], EXPM_BLOCK)
     return out.reshape(hs.shape)
 
 

@@ -536,6 +536,9 @@ def fourier_nlevel(dim: int, terms: list[FourierTerm]) -> HamiltonianModel:
 
     Real combinations of Hermitian coefficient matrices, so Hermiticity is
     guaranteed term by term.  An empty term list is the zero Hamiltonian.
+    Raises InvalidParamsError when sum_k |a_k| max|H_k| or
+    sum_k |a_k omega_k| max|H_k|, which bound the entries of h and h', is
+    not finite.
     """
     mats = []
     for i, term in enumerate(terms):
@@ -549,18 +552,33 @@ def fourier_nlevel(dim: int, terms: list[FourierTerm]) -> HamiltonianModel:
     omegas = np.array([t.omega for t in terms], dtype=float)
     amps = np.array([t.amplitude for t in terms], dtype=float)
     phases = np.array([t.phase for t in terms], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = np.stack([np.abs(amps), np.abs(amps * omegas)])
+        bounds *= np.abs(stack).max(axis=(1, 2), initial=0.0)
+        finite = np.isfinite(bounds.sum(axis=1)).all()
+    if not finite:
+        # a sum of T terms overflows only if some term reaches max / T
+        bad = np.flatnonzero(~np.all(bounds < np.finfo(float).max / len(terms), axis=0))
+        raise InvalidParamsError(
+            f"fourier terms {bad.tolist()}: "
+            "|amplitude| * max|matrix| or |amplitude * omega| * max|matrix|, summed over "
+            "the terms, is not finite"
+        )
+
+    def combine(weights):
+        out = np.empty((weights.shape[0], dim, dim), dtype=complex)
+
+        def block(k0, k1):
+            np.einsum("kt,tij->kij", weights[k0:k1], stack, out=out[k0:k1])
+
+        linalg.for_blocks(block, weights.shape[0], linalg.EXPM_BLOCK)
+        return out
 
     def evaluate_batch(taus):
-        if not len(terms):
-            return np.zeros((taus.size, dim, dim), dtype=complex)
-        weights = amps * np.cos(np.outer(taus, omegas) + phases)
-        return np.einsum("kt,tij->kij", weights, stack)
+        return combine(amps * np.cos(np.outer(taus, omegas) + phases))
 
     def derivative_batch(taus):
-        if not len(terms):
-            return np.zeros((taus.size, dim, dim), dtype=complex)
-        weights = -amps * omegas * np.sin(np.outer(taus, omegas) + phases)
-        return np.einsum("kt,tij->kij", weights, stack)
+        return combine(-amps * omegas * np.sin(np.outer(taus, omegas) + phases))
 
     return HamiltonianModel(
         dim=dim,

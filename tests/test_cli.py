@@ -1,10 +1,15 @@
 import csv
+import importlib.util
+import json
+import os
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qgplab import cli, errors, metrics
+from qgplab import cli, errors, linalg, metrics
 from qgplab.models import RobustModelParams, RotatingSpinParams
 
 ROTATING_CONFIG = """
@@ -75,6 +80,8 @@ samples = 65
 dir = {out}
 """
 
+#: a term whose amplitude times its largest entry overflows to inf
+OVERFLOWING_TERM = 'term2 = {"matrix": [[2e10, 0], [0, 5e10]], "amplitude": 1e300}'
 
 #: every exception class of the package, the base class included
 PACKAGE_ERRORS = [
@@ -727,6 +734,17 @@ class TestInputEdges:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["conditions", "simulate"])
+    def test_overflowing_fourier_model_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "overflow.ini"
+        path.write_text(add("model", OVERFLOWING_TERM)(base_config("fourier", tmp_path / "out")))
+        assert cli.main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: fourier terms [1]: ")
+        assert err.endswith(" is not finite\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
     def test_every_package_error_maps_to_an_exit_code(self, tmp_path, capsys, monkeypatch, error):
         def failing(cfg):
@@ -739,3 +757,61 @@ class TestInputEdges:
         assert cli.main(["conditions", "--config", str(config)]) == (3 if numerical else 2)
         kind = "numerical" if numerical else "config"
         assert capsys.readouterr().err == f"{kind} error: injected\n"
+
+
+def eight_level_config(out):
+    """An 8-level ``fourier`` config: diag(0, 4, ..., 28) plus one seeded
+    Hermitian coupling of spectral norm 0.6 oscillating at omega = 1."""
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    coupling = 0.5 * (g + g.conj().T)
+    coupling *= 0.6 / np.linalg.norm(coupling, 2)
+    pairs = [[[z.real, z.imag] for z in row] for row in coupling]
+    return (
+        "[model]\nname = fourier\ndim = 8\n"
+        f"term1 = {json.dumps({'matrix': np.diag(4.0 * np.arange(8)).tolist(), 'omega': 0.0})}\n"
+        f"term2 = {json.dumps({'matrix': pairs, 'omega': 1.0})}\n\n"
+        "[run]\ntau_end = 3.0\nsamples = 2100\nlevel = 3\ntol = 1e-6\n\n"
+        f"[output]\ndir = {out}\n"
+    )
+
+
+class TestThreads:
+    """Only the blocks inside the batched kernels run on the pool: every
+    function the benchmark's tracer wraps runs on the calling thread, whose
+    span stack it keeps."""
+
+    def test_traced_functions_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)
+        spec.loader.exec_module(tracing)
+        # two usable CPUs, so that the pool runs on any host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        calls = []
+        for owner, attr, name, _ in tracing._targets():
+
+            def recorded(*args, _fn=getattr(owner, attr), _name=name, **kwargs):
+                calls.append((_name, threading.get_ident()))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, recorded)
+        pade_threads = []
+        pade = linalg._pade_unitary
+
+        def recorded_pade(a):
+            pade_threads.append(threading.get_ident())
+            return pade(a)
+
+        monkeypatch.setattr(linalg, "_pade_unitary", recorded_pade)
+        config = tmp_path / "eight.ini"
+        config.write_text(eight_level_config(tmp_path / "out"))
+        for command in ("simulate", "conditions"):
+            assert cli.main([command, "--config", str(config)]) == 0
+        names = {name for name, _ in calls}
+        assert {"models.sample", "models.sample_derivative", "linalg.eigh_batch",
+                "linalg.expm_unitary_batch", "reporting.write_csv"} <= names
+        main = threading.get_ident()
+        assert {thread for _, thread in calls} == {main}
+        assert pade_threads and main not in pade_threads

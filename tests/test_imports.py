@@ -1,5 +1,6 @@
 """The CLI's import footprint: scipy.optimize loads only when tracking needs it,
-and the CSV kernel only when a CSV is written.
+the CSV kernel only when a CSV is written, and concurrent.futures only when a
+batched kernel first splits its blocks across threads.
 
 A fresh interpreter records whether ``scipy.optimize`` is in ``sys.modules``
 after importing the CLI, after a ``conditions`` run that keeps the eigh
@@ -43,6 +44,7 @@ state = {}
 from qgplab import cli
 state["after_import"] = loaded()
 state["kernel_after_import"] = "qgplab._g17" in sys.modules
+state["futures_after_import"] = "concurrent.futures" in sys.modules
 state["conditions_exit"] = cli.main(["conditions", "--config", config, "--out", out])
 state["after_conditions"] = loaded()
 state["kernel_after_conditions"] = "qgplab._g17" in sys.modules
@@ -94,3 +96,7 @@ def test_level_crossings_load_the_real_solver_and_track(probe):
 def test_csv_kernel_loads_on_the_first_write(probe):
     assert probe["kernel_after_import"] is False
     assert probe["kernel_after_conditions"] is True
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded(probe):
+    assert probe["futures_after_import"] is False

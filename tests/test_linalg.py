@@ -1,3 +1,7 @@
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian
-from qgplab import linalg
+from qgplab import linalg, models
 from qgplab.errors import NotHermitianError
 from qgplab.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, eigh, expm_unitary
 
@@ -80,6 +84,13 @@ class TestEigh:
     def test_rejects_non_finite(self):
         with pytest.raises(NotHermitianError):
             eigh(np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_batch_rejects_non_finite(self, rng, value):
+        hs = np.stack([random_hermitian(rng, 3) for _ in range(3)])
+        hs[1, 2, 0] = value
+        with pytest.raises(NotHermitianError, match="non-finite"):
+            linalg.eigh_batch(hs)
 
     def test_accepts_non_contiguous_input(self, rng):
         # transposes and strided slices have a non-contiguous last axis
@@ -238,6 +249,140 @@ class TestExpmBatchPade:
         hs[1, 0, 0] = np.nan
         with pytest.raises(NotHermitianError):
             linalg.expm_unitary_batch(hs, 1.0)
+
+
+def hermitian_stack(rng, k, n):
+    a = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+    return 0.5 * (a + linalg.dagger(a))
+
+
+def usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+class TestForBlocks:
+    """The kernels split by ``for_blocks`` against the same calls run inline.
+
+    Two usable CPUs are patched in, so that the pool runs on any host.
+    """
+
+    @pytest.fixture
+    def pade_threads(self, monkeypatch):
+        """Thread of each ``_pade_unitary`` call, in call order."""
+        threads = []
+        original = linalg._pade_unitary
+
+        def recorded(a):
+            threads.append(threading.get_ident())
+            return original(a)
+
+        monkeypatch.setattr(linalg, "_pade_unitary", recorded)
+        return threads
+
+    @staticmethod
+    def inline(monkeypatch, call):
+        with monkeypatch.context() as patch:
+            usable_cpus(patch, 1)
+            return call()
+
+    def test_blocked_exponentials_equal_inline(self, rng, monkeypatch, pade_threads):
+        usable_cpus(monkeypatch, 2)
+        block = linalg.EXPM_BLOCK
+        k = 5 * block + 77
+        hs = hermitian_stack(rng, k, 8)
+        hs /= np.abs(hs).sum(axis=-2).max(axis=-1)[:, None, None]
+        # max ||A||_1 of each block: degrees 3, 5, 7 and 13, then 4 and 9 squarings
+        scales = np.repeat([1e-2, 0.2, 0.9, 5.0, 80.0, 2e3], block)[:k]
+        ts = scales * rng.uniform(-1.0, 1.0, k)
+        ts[::block] = scales[::block]
+        us = linalg.expm_unitary_batch(hs, ts)
+        main = threading.get_ident()
+        assert len(pade_threads) == 6 and main not in pade_threads
+        pade_threads.clear()
+        inline = self.inline(monkeypatch, lambda: linalg.expm_unitary_batch(hs, ts))
+        assert pade_threads == [main] * 6
+        assert np.array_equal(us, inline)
+
+    def test_blocked_eigh_and_fourier_samples_equal_inline(self, rng, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        k = 3 * linalg.EXPM_BLOCK + 5
+        hs = hermitian_stack(rng, k, 8)
+        values, vectors = linalg.eigh_batch(hs)
+        inline_values, inline_vectors = self.inline(monkeypatch, lambda: linalg.eigh_batch(hs))
+        assert np.array_equal(values, inline_values)
+        assert np.array_equal(vectors, inline_vectors)
+
+        terms = [models.FourierTerm(h, omega, 1.3, 0.2)
+                 for h, omega in zip(hermitian_stack(rng, 3, 8), (0.0, 1.0, 2.5))]
+        model = models.fourier_nlevel(8, terms)
+        taus = np.linspace(0.0, 7.0, k)
+        for sample in (model.sample, model.sample_derivative):
+            assert np.array_equal(sample(taus), self.inline(monkeypatch, lambda: sample(taus)))
+
+    def test_error_reaches_the_caller_after_every_block(self, monkeypatch, pade_threads):
+        usable_cpus(monkeypatch, 2)
+        hs = np.zeros((5 * linalg.EXPM_BLOCK, 3, 3), dtype=complex)
+        hs[2 * linalg.EXPM_BLOCK + 7, 0, 0] = np.nan
+        finished = []
+        recorded = linalg._pade_unitary
+
+        def slow(a):
+            time.sleep(0.05)
+            out = recorded(a)
+            finished.append(len(a))
+            return out
+
+        monkeypatch.setattr(linalg, "_pade_unitary", slow)
+        with pytest.raises(NotHermitianError, match="non-finite"):
+            linalg.expm_unitary_batch(hs, 1.0)
+        assert len(pade_threads) == 5
+        assert finished == [linalg.EXPM_BLOCK] * 4
+
+    def test_first_failing_block_raises(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+
+        def fail(k0, k1):
+            if k0 in (2, 5):
+                raise ValueError(f"block {k0}")
+
+        with pytest.raises(ValueError, match="block 2"):
+            linalg.for_blocks(fail, 8, 1)
+
+    def test_blocks_keep_the_callers_errstate(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        seen = []
+        with np.errstate(over="raise"):
+            linalg.for_blocks(lambda k0, k1: seen.append(np.geterr()["over"]), 4, 1)
+        assert seen == ["raise"] * 4
+
+    def test_nested_call_runs_inline_in_its_worker(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        pairs = []
+
+        def outer(k0, k1):
+            mine = threading.get_ident()
+            linalg.for_blocks(lambda j0, j1: pairs.append((mine, threading.get_ident())), 4, 1)
+
+        caller = threading.Thread(target=linalg.for_blocks, args=(outer, 8, 1), daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert len(pairs) == 32
+        assert all(worker == inner for worker, inner in pairs)
+        assert caller.ident not in {worker for worker, _ in pairs}
+
+    @pytest.mark.parametrize("cpus, n, block", [(1, 6 * 1024, 1024), (2, 5, 10)],
+                             ids=["one-cpu", "one-block"])
+    def test_runs_inline_without_a_pool(self, rng, monkeypatch, pade_threads, cpus, n, block):
+        usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(linalg, "_pool", None)
+        threads = []
+        linalg.for_blocks(lambda k0, k1: threads.append(threading.get_ident()), n, block)
+        if cpus == 1:
+            linalg.expm_unitary_batch(hermitian_stack(rng, n, 3), 0.01)
+            linalg.eigh_batch(hermitian_stack(rng, n, 3))
+        assert linalg._pool is None
+        assert set(threads + pade_threads) == {threading.get_ident()}
 
 
 class TestStateHelpers:

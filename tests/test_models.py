@@ -205,6 +205,18 @@ class TestFourier:
         with pytest.raises(NotHermitianError):
             fourier_nlevel(2, [FourierTerm(bad, 1.0, 1.0)])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("terms, named", [
+        ([FourierTerm(np.diag([0.0, 2e10, 5e10]), 0.0, 1e300)], "[0]"),
+        ([FourierTerm(np.diag([0.0, 2.0, 5.0]), 1e308, 1.0)], "[0]"),
+        ([FourierTerm(np.diag([0.0, 1.0, 1.0]), 0.0, 1e308),
+          FourierTerm(np.eye(3), 1.0, 1e308)], "[0, 1]"),
+    ], ids=["amplitude", "amplitude-omega", "only-the-sum"])
+    def test_rejects_a_non_finite_bound_naming_the_terms(self, terms, named):
+        coupling = FourierTerm(np.ones((3, 3)), 1.7, 1.0)
+        with pytest.raises(InvalidParamsError, match=rf"fourier terms \{named}\: .* not finite"):
+            fourier_nlevel(3, [*terms, coupling])
+
 
 class TestModelInvariants:
     @pytest.mark.parametrize("name", ["rotating", "robust", "bloch", "fourier"])

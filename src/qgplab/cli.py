@@ -33,7 +33,7 @@ from .conditions import condition_report
 from .errors import ConfigError, NumericalError, QgplabError
 from .evolve import evolve_schrodinger
 from .frames import TimeGrid, adiabatic_trajectory, build_frame
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, default_hermiticity_tol, hermiticity_defect
 from .models import (
     BlochCurveModel,
     FourierTerm,
@@ -172,7 +172,7 @@ def _fourier(params: dict):
     dim = _need(params, "dim", int)
     if dim < 2:
         raise ConfigError(f"field 'dim' in [model]: must be an integer >= 2, got {dim}")
-    terms = [_parse_term(key, params[key]) for key in sorted(params) if key.startswith("term")]
+    terms = [_parse_term(key, params[key], dim) for key in sorted(params) if key.startswith("term")]
     return fourier_nlevel(dim, terms), None
 
 
@@ -295,9 +295,10 @@ def build_model(cfg: ScenarioConfig) -> tuple[HamiltonianModel, object]:
         raise ConfigError(f"section [model]: {exc}") from exc
 
 
-def _parse_term(key: str, raw: str) -> FourierTerm:
+def _parse_term(key: str, raw: str, dim: int) -> FourierTerm:
     """A ``term*`` field: a JSON object with a ``matrix`` (a Pauli name, or
-    rows of numbers or [re, im] pairs) and optional omega, amplitude, phase."""
+    rows of numbers or [re, im] pairs; Hermitian, dim x dim) and optional
+    omega, amplitude, phase."""
     import json
 
     where = f"field '{key}' in [model]"
@@ -321,7 +322,12 @@ def _parse_term(key: str, raw: str) -> FourierTerm:
         raise ConfigError(f"{where}: cannot parse {raw!r} as a term object") from exc
     for name, value in (("matrix", matrix), *numbers.items()):
         _finite(value, f"{where} ({name})")
-    return FourierTerm(matrix=np.asarray(matrix, dtype=complex), **numbers)
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape != (dim, dim):
+        raise ConfigError(f"{where}: matrix has shape {matrix.shape}, expected {(dim, dim)}")
+    if hermiticity_defect(matrix) > default_hermiticity_tol(matrix):
+        raise ConfigError(f"{where}: matrix is not Hermitian")
+    return FourierTerm(matrix=matrix, **numbers)
 
 
 class ScenarioRun:

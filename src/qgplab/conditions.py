@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qgp as qgp_mod
 from .errors import (
     GapClosureError,
     InvalidParamsError,
@@ -33,7 +32,7 @@ from .errors import (
     NotAntisymmetricError,
     UndefinedArgError,
 )
-from .frames import SpectralFrame
+from .frames import SpectralFrame, pair_series
 from .linalg import eigh
 
 
@@ -97,28 +96,26 @@ def condition_report(
         raise GapClosureError("frame has a closed gap")
     dim = frame.dim
     taus = frame.grid.samples
-    others = [n for n in range(dim) if n != m]
+    # only what the report reads; all stages held at once would raise the peak memory
+    stages = (pair_series(frame, m, n) for n in range(dim) if n != m)
+    others = {s.pair[1]: (s.gamma_abs, s.delta, s.coupling) for s in stages}
     # conservative numerator: the largest coupling out of level m at each tau
-    coupling_to_m = np.abs(frame.gamma[:, :, m])
-    coupling_to_m[:, m] = 0.0
-    max_coupling = np.max(coupling_to_m, axis=1)
+    max_coupling = np.max([gamma_abs for gamma_abs, _, _ in others.values()], axis=0)
+    persists = any(coupling != "uncoupled" for _, _, coupling in others.values())
 
     pairs = []
-    for n in others:
+    for n, (gamma_abs, delta, coupling) in others.items():
         gap = frame.energies[:, n] - frame.energies[:, m]
-        gamma_abs = np.abs(frame.gamma[:, n, m])
-        if np.max(gamma_abs) < qgp_mod.COUPLING_FLOOR:
-            # decoupled pair: no transition channel, ratios vanish; the QGP
-            # denominator is only needed when some coupling survives
-            if np.max(max_coupling) >= qgp_mod.COUPLING_FLOOR:
+        if coupling == "uncoupled":
+            # no transition channel, ratios vanish; the QGP denominator is
+            # only needed when some coupling out of the level survives
+            if persists:
                 raise UndefinedArgError(
                     f"Delta_{m}{n} undefined (gamma_{n}{m} vanishes) but other "
                     "couplings out of the level persist"
                 )
-            delta = np.full_like(gap, np.nan)
             trad = strict = conservative = np.zeros_like(gap)
         else:
-            delta = qgp_mod.qgp(frame, m, n).delta
             with np.errstate(invalid="ignore", divide="ignore"):
                 trad = gamma_abs / np.abs(gap)
                 denom = np.abs(gap + delta)

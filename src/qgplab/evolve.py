@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, StepUnderflowError, UndefinedArgError
-from .frames import COUPLING_FLOOR, SpectralFrame, TimeGrid, adiabatic_trajectory, theta_series
+from .frames import SpectralFrame, TimeGrid, adiabatic_trajectory, pair_series, pair_theta
 from .linalg import expm_unitary_batch, matmul_batch, require_state
 from .models import HamiltonianModel
 
@@ -251,21 +251,17 @@ def schrodinger_fixed_step(
 def _coupling_pairs(frame: SpectralFrame) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
     """(m, n, |gamma_mn|, unwrapped theta_mn) for each m < n with a coupling.
 
-    Pairs whose coupling vanishes on the whole grid are skipped; one that
-    vanishes only on part of it raises UndefinedArg.
+    Uncoupled pairs are skipped; a partly coupled one raises UndefinedArg.
     """
     pairs = []
     for m in range(frame.dim):
         for n in range(m + 1, frame.dim):
-            magnitude = np.abs(frame.gamma[:, m, n])
-            if np.max(magnitude) < COUPLING_FLOOR:
+            series = pair_series(frame, n, m)  # |gamma_mn| and arg gamma_mn
+            if series.coupling == "uncoupled":
                 continue
-            if np.min(magnitude) < COUPLING_FLOOR:
-                raise UndefinedArgError(
-                    f"|gamma_{m}{n}| vanishes on part of the grid; M undefined"
-                )
-            theta, _ = theta_series(frame, m, n)
-            pairs.append((m, n, magnitude, theta))
+            if series.coupling == "partial":
+                raise UndefinedArgError(f"|gamma_{m}{n}| vanishes on part of the grid; M undefined")
+            pairs.append((m, n, series.gamma_abs, pair_theta(frame, series)))
     return pairs
 
 

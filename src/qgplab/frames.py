@@ -21,13 +21,22 @@ gamma comes from one of three routes, recorded in ``gamma_mode``:
 * ``analytic_derivative`` - off-diagonals from i<phi_n|dh|phi_m>/(e_m - e_n),
   diagonals from finite differences of the gauge-fixed vectors;
 * ``finite_difference``   - 4th-order differences of the vectors throughout.
+
+``pair_series(frame, m, n)`` derives all per-pair data once: |gamma_nm|,
+arg gamma_nm unwrapped per coupled run with its ``unwrap_flags`` (counted on
+every gamma route), and Delta_mn.  |gamma_nm| > ``COUPLING_FLOOR`` (1e-12) is
+the one vanishing-coupling rule; it makes a pair uncoupled (no coupled
+sample), partial or coupled (every sample).  ``qgp.qgp`` raises on uncoupled
+pairs, ``theta_series`` on all but coupled ones, ``evolve_coefficients`` on
+partial ones (it skips uncoupled ones), and ``condition_report`` on an
+uncoupled pair while another coupling out of the level persists.
 """
 
 from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
 
@@ -243,6 +252,72 @@ def build_frame(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class QgpSeries:
+    """Per-pair data of the ordered pair (m, n), built by ``pair_series``.
+
+    ``coupled`` is |gamma_nm| > COUPLING_FLOOR; ``arg`` is arg gamma_nm
+    unwrapped per coupled run (NaN elsewhere) and ``unwrap_flags`` counts its
+    steps above pi/2.  ``delta`` (Delta_mn) and ``ratio`` (Delta_mn/2|gamma_nm|)
+    are NaN where ``valid`` is False: off the coupled samples and, without a
+    closed form, on one-sample runs.
+    """
+
+    grid: TimeGrid
+    pair: tuple[int, int]
+    delta: np.ndarray
+    gamma_abs: np.ndarray
+    ratio: np.ndarray
+    valid: np.ndarray
+    unwrap_flags: int = 0
+    _: KW_ONLY
+    coupled: np.ndarray
+    arg: np.ndarray
+
+    @property
+    def coupling(self) -> str:
+        """``"uncoupled"`` (no coupled sample), ``"partial"`` or ``"coupled"``."""
+        return "coupled" if self.coupled.all() else "partial" if self.coupled.any() else "uncoupled"
+
+    def require_valid(self) -> None:
+        if not bool(np.all(self.valid)):
+            undefined = int(np.count_nonzero(~self.valid))
+            raise UndefinedArgError(f"QGP for pair {self.pair} undefined on {undefined} samples")
+
+
+def pair_series(frame: SpectralFrame, m: int, n: int) -> QgpSeries:
+    """Every per-pair quantity of the ordered pair (m, n), derived once.
+
+    Delta_mn is the frame's closed form if it has one, else gamma_mm - gamma_nn
+    plus the 4th-order stencil of the unwrapped arg gamma_nm on each coupled run.
+    """
+    taus = frame.grid.samples
+    coupling = frame.gamma[:, n, m]
+    gamma_abs = np.abs(coupling)
+    coupled = gamma_abs > COUPLING_FLOOR
+    analytic = frame.delta_analytic is not None
+    if analytic:
+        delta = frame.delta_analytic[:, m, n].astype(float)
+        delta[~coupled] = np.nan
+    else:
+        diag = frame.gamma[:, m, m].real - frame.gamma[:, n, n].real
+        delta = np.full(taus.size, np.nan)
+    arg, flags = np.full(taus.size, np.nan), 0
+    for start, stop in numerics.valid_runs(coupled):
+        run_arg, large = numerics.unwrap_angles(np.angle(coupling[start:stop]))
+        arg[start:stop] = run_arg
+        flags += large
+        if not analytic and stop - start > 1:
+            darg = numerics.derivative_series(run_arg, taus[start:stop])
+            delta[start:stop] = diag[start:stop] + darg
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = delta / (2.0 * gamma_abs)
+    valid = coupled if analytic else coupled & ~np.isnan(delta)
+    return QgpSeries(
+        frame.grid, (m, n), delta, gamma_abs, ratio, valid, flags, coupled=coupled, arg=arg
+    )
+
+
 def theta_series(frame: SpectralFrame, m: int, n: int) -> tuple[np.ndarray, int]:
     """theta_mn on every grid sample, with the count of large unwrap steps.
 
@@ -252,26 +327,23 @@ def theta_series(frame: SpectralFrame, m: int, n: int) -> tuple[np.ndarray, int]
     _require_levels(frame, m, n)
     if m == n:
         raise ValueError("theta_mn needs m != n")
-    coupling = frame.gamma[:, m, n]
-    if np.min(np.abs(coupling)) < COUPLING_FLOOR:
-        raise UndefinedArgError(
-            f"|gamma_{m}{n}| fell below {COUPLING_FLOOR:g}; arg undefined"
-        )
-    taus = frame.grid.samples
-    integrand = (
-        frame.energies[:, m]
-        - frame.energies[:, n]
-        + frame.gamma[:, n, n].real
-        - frame.gamma[:, m, m].real
+    series = pair_series(frame, n, m)  # its arg is arg gamma_mn
+    if series.coupling != "coupled":
+        raise UndefinedArgError(f"|gamma_{m}{n}| fell below {COUPLING_FLOOR:g}; arg undefined")
+    return pair_theta(frame, series), series.unwrap_flags
+
+
+def pair_theta(frame: SpectralFrame, series: QgpSeries) -> np.ndarray:
+    """theta_mn from the coupled ``pair_series(frame, n, m)``; logs its unwrap flags."""
+    n, m = series.pair
+    e, g = frame.energies, frame.gamma
+    integral = numerics.cumulative_integral(
+        e[:, m] - e[:, n] + g[:, n, n].real - g[:, m, m].real, frame.grid.samples
     )
-    integral = numerics.cumulative_integral(integrand, taus)
-    arg, large = numerics.unwrap_angles(np.angle(coupling))
-    if large:
-        log.warning(
-            "theta_%d%d: %d unwrap steps exceeded pi/2; grid may be coarse",
-            m, n, large,
-        )
-    return integral + arg, large
+    if series.unwrap_flags:
+        log.warning("theta_%d%d: %d unwrap steps exceeded pi/2; grid may be coarse",
+                    m, n, series.unwrap_flags)
+    return integral + series.arg
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,10 @@ Delta_mn / (2|gamma_mn|) equals the geodesic curvature of the eigenstate's
 Bloch-sphere curve with arclength ds = 2|gamma_mn| dtau; over closed loops
 the integral of Delta_mn is the difference of the two Berry phases up to an
 integer number of 2 pi windings of the coupling.
+
+``qgp`` is ``frames.pair_series``, which owns the per-pair data, plus an
+UndefinedArgError when |gamma_nm| <= 1e-12 on the whole grid (an uncoupled
+pair); the Berry-phase check takes its winding from the stage's arg.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ from .errors import (
     UndefinedArgError,
 )
 from .frames import (
-    COUPLING_FLOOR,
+    QgpSeries,
     SpectralFrame,
     TimeGrid,
     build_frame,
+    pair_series,
 )
 from .linalg import max_abs
 from .models import (
@@ -42,73 +47,15 @@ from .models import (
 _SPEED_FLOOR = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class QgpSeries:
-    """Delta_mn, |gamma_mn| and their ratio on a grid.
-
-    ``valid`` masks samples where the coupling is large enough for the phase
-    derivative to exist; delta/ratio are NaN elsewhere.
-    """
-
-    grid: TimeGrid
-    pair: tuple[int, int]
-    delta: np.ndarray
-    gamma_abs: np.ndarray
-    ratio: np.ndarray
-    valid: np.ndarray
-    unwrap_flags: int = 0
-
-    def require_valid(self) -> None:
-        if not bool(np.all(self.valid)):
-            raise UndefinedArgError(
-                f"QGP for pair {self.pair} undefined on "
-                f"{int(np.count_nonzero(~self.valid))} samples"
-            )
-
-
 def qgp(frame: SpectralFrame, m: int, n: int) -> QgpSeries:
-    """Quantum geometric potential Delta_mn on the frame grid.
-
-    Uses the model's closed-form Delta when the frame carries it; otherwise
-    differentiates the unwrapped phase of gamma_nm with 4th-order stencils,
-    independently on each maximal run of valid samples.
-    """
+    """Quantum geometric potential Delta_mn on the frame grid: ``frames.pair_series``
+    of (m, n), raising UndefinedArg when gamma_nm vanishes on the whole grid."""
     if m == n:
         raise ValueError("QGP needs m != n")
-    coupling = frame.gamma[:, n, m]  # arg gamma_nm enters Delta_mn
-    gamma_abs = np.abs(coupling)
-    valid = gamma_abs > COUPLING_FLOOR
-    if not valid.any():
+    series = pair_series(frame, m, n)
+    if series.coupling == "uncoupled":
         raise UndefinedArgError(f"gamma_{n}{m} vanishes on the whole grid")
-
-    taus = frame.grid.samples
-    flags = 0
-    if frame.delta_analytic is not None:
-        delta = frame.delta_analytic[:, m, n].astype(float).copy()
-        delta[~valid] = np.nan
-    else:
-        diag = frame.gamma[:, m, m].real - frame.gamma[:, n, n].real
-        delta = np.full(taus.size, np.nan)
-        for start, stop in numerics.valid_runs(valid):
-            arg, large = numerics.unwrap_angles(np.angle(coupling[start:stop]))
-            flags += large
-            if stop - start == 1:
-                continue
-            darg = numerics.derivative_series(arg, taus[start:stop])
-            delta[start:stop] = diag[start:stop] + darg
-        valid = valid & ~np.isnan(delta)
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = delta / (2.0 * gamma_abs)
-    return QgpSeries(
-        grid=frame.grid,
-        pair=(m, n),
-        delta=delta,
-        gamma_abs=gamma_abs,
-        ratio=ratio,
-        valid=valid,
-        unwrap_flags=flags,
-    )
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -211,42 +158,22 @@ def berry_difference(frame: SpectralFrame, m: int, n: int) -> BerryDifference:
     berry_n = numerics.trapezoid(frame.gamma[:, n, n].real, taus) + beta_n
 
     if masked:
-        integral_delta = 0.0
+        integral_delta, winding = 0.0, 0
         for start, stop in numerics.valid_runs(series.valid):
             if stop - start > 1:
-                integral_delta += numerics.trapezoid(
-                    series.delta[start:stop], taus[start:stop]
-                )
-        return BerryDifference(
-            integral_delta=integral_delta,
-            winding=0,
-            berry_m=berry_m,
-            berry_n=berry_n,
-            residual=integral_delta - (berry_m - berry_n),
-            masked=True,
-        )
-
-    arg, _ = numerics.unwrap_angles(np.angle(frame.gamma[:, n, m]))
-    winding_raw = (arg[-1] - arg[0] - (beta_m - beta_n)) / (2.0 * np.pi)
-    winding = int(np.round(winding_raw))
-    if abs(winding_raw - winding) > 0.05:
-        raise InvariantViolationError(
-            f"coupling winding {winding_raw:.4f} is not an integer"
-        )
-    integral_delta = numerics.trapezoid(series.delta, taus)
+                integral_delta += numerics.trapezoid(series.delta[start:stop], taus[start:stop])
+    else:
+        winding_raw = (series.arg[-1] - series.arg[0] - (beta_m - beta_n)) / (2.0 * np.pi)
+        winding = int(np.round(winding_raw))
+        if abs(winding_raw - winding) > 0.05:
+            raise InvariantViolationError(f"coupling winding {winding_raw:.4f} is not an integer")
+        integral_delta = numerics.trapezoid(series.delta, taus)
     residual = integral_delta - (berry_m - berry_n) - 2.0 * np.pi * winding
-    if abs(residual) > 1e-5:
+    if not masked and abs(residual) > 1e-5:
         raise InvariantViolationError(
             f"Berry-difference identity residual {residual:.3e} exceeds 1e-05"
         )
-    return BerryDifference(
-        integral_delta=integral_delta,
-        winding=winding,
-        berry_m=berry_m,
-        berry_n=berry_n,
-        residual=residual,
-        masked=False,
-    )
+    return BerryDifference(integral_delta, winding, berry_m, berry_n, residual, masked)
 
 
 # ---------------------------------------------------------------------------

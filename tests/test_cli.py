@@ -629,9 +629,18 @@ class TestInputEdges:
          "field 'dim' in [model]: must be an integer >= 2, got 0"),
         ("bloch", add("model", "b = -1"), "field 'b' in [model]: must be positive, got -1.0"),
         ("bloch", add("model", "b = 0"), "field 'b' in [model]: must be positive, got 0.0"),
+        ("fourier", add("model", 'term2 = {"matrix": [[0, 1], [0, 0]], "omega": 1.0}'),
+         "field 'term2' in [model]: matrix is not Hermitian"),
+        ("fourier", add("model", 'term2 = {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}'),
+         "field 'term2' in [model]: matrix has shape (3, 3), expected (2, 2)"),
+        # term10 sorts between term1 and term2; the error names the key, not a position
+        ("fourier", lambda text: add("model", 'term10 = {"matrix": [[0, 1], [0, 0]]}')(
+            add("model", 'term2 = {"matrix": "sigma_x", "omega": 1.0}')(text)),
+         "field 'term10' in [model]: matrix is not Hermitian"),
     ], ids=["b-nan", "a-inf", "coeffs-nan", "omega-nan", "amplitude-inf", "phase-nan",
             "matrix-nan", "term-not-object", "entry-not-a-pair", "dim-negative", "dim-one",
-            "dim-zero-no-terms", "b-negative", "b-zero"])
+            "dim-zero-no-terms", "b-negative", "b-zero", "term-not-hermitian",
+            "term-wrong-shape", "term10-beside-term2"])
     def test_bad_model_param_exits_2(self, tmp_path, capsys, base, damage, message):
         path = tmp_path / "model.ini"
         path.write_text(damage(base_config(base, tmp_path / "out")))

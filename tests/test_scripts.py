@@ -49,3 +49,24 @@ def test_run_figure1_writes_the_figure_files(tmp_path):
         lines = (tmp_path / name).read_text().splitlines()
         assert lines[0] == header and len(lines) > 1
     assert (tmp_path / "figure1.svg").read_text().startswith("<svg ")
+
+
+def test_reference_outputs_writes_every_run(tmp_path):
+    out = tmp_path / "reference"
+    run_script("reference_outputs.py", str(out), "0")
+    pairs = [f"conditions_m3_n{n}.csv" for n in (0, 1, 2, 4, 5, 6, 7)]
+    expected = {
+        "spin2_resonant-seed0": ["fidelity.csv", "trajectory.csv"],
+        "ladder8_dense-seed0": ["fidelity.csv", "trajectory.csv"],
+        "generic8_conditions-seed0": [*pairs, "summary.txt"],
+        "sweep": ["summary.csv"],
+        "figure1": ["P.csv", "bloch.csv", "figure1.svg"],
+        "k_sweep": ["summary.csv"],
+        "regime_comparison": [],
+    }
+    written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+    assert written == sorted(
+        f"{run}/{name}" for run, names in expected.items() for name in [*names, "stdout.txt"]
+    )
+    stdout = (out / "spin2_resonant-seed0" / "stdout.txt").read_text()
+    assert stdout.startswith("simulate: wrote OUT/spin2_resonant-seed0/trajectory.csv ")

@@ -57,7 +57,7 @@ class SingularPointError(NumericalError):
 
 
 class StepUnderflowError(NumericalError):
-    """Adaptive stepper shrank below the minimum step (stiff input)."""
+    """Adaptive stepper reached its minimum step or substep budget before tol."""
 
 
 class GridMismatchError(QgplabError):

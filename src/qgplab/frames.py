@@ -35,7 +35,6 @@ uncoupled pair while another coupling out of the level persists.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import KW_ONLY, dataclass, replace
 
 import numpy as np
@@ -214,12 +213,8 @@ def build_frame(
         energies, vectors = eigh_batch(model.sample(taus))
         energies, vectors, min_overlap = _track_levels(energies, vectors)
         if min_overlap < 0.99:
-            warnings.warn(
-                f"level-tracking overlap dropped to {min_overlap:.4f} (< 0.99); "
-                "consider a finer grid",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            log.warning("level-tracking overlap dropped to %.4f (< 0.99); consider a finer grid",
+                        min_overlap)
 
     min_gap = _pairwise_min_gap(energies)
     if min_gap < GAP_FLOOR:

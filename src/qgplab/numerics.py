@@ -1,4 +1,12 @@
-"""Finite-difference and phase-unwrapping helpers used by the frame layer."""
+"""Finite-difference, quadrature and phase-unwrapping helpers of the frame layer.
+
+``derivative_series`` and ``cumulative_integral`` are 4th order on every
+grid.  Uniform grids use fixed stencils (the 5-point derivative, the 4-point
+step integral, one-sided at the edges).  Non-uniform grids use the local
+polynomial through the 5 nodes nearest each node (derivative) or the 4 nodes
+nearest each step (step integral), its weights solved per node in scaled
+offsets.  Shorter grids fall back to ``np.gradient`` and the trapezoid rule.
+"""
 
 from __future__ import annotations
 
@@ -20,41 +28,45 @@ def _is_uniform(x: np.ndarray) -> bool:
     return bool(np.allclose(steps, steps[0], rtol=1e-9, atol=1e-15 * scale))
 
 
-def fornberg_weights(x: np.ndarray, x0: float, order: int) -> np.ndarray:
-    """Finite-difference weights for d^order/dx^order at x0 on nodes x.
+def _local_polynomial(y: np.ndarray, x: np.ndarray, out: np.ndarray, integrate: bool) -> np.ndarray:
+    """Fill out[i] with the derivative at x[i] (or with ``integrate`` the integral
+    over [x[i], x[i+1]]) of the polynomial through the 5 (4) nodes nearest i.
 
-    Fornberg's recursion; exact for polynomials up to degree len(x)-1.
+    All windows' Vandermonde systems, in the scaled offsets (x - x[i]) / span,
+    are solved at once; the weights are applied as shifted slices of y.
     """
-    n = len(x)
-    c = np.zeros((n, order + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0] - x0
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, order]
+    k, n = x.size, out.shape[0]
+    width = 4 if integrate else 5
+    lead = (width - 1) // 2  # window nodes before node i, away from the edges
+    nodes = x[np.clip(np.arange(n) - lead, 0, k - width)[:, None] + np.arange(width)]
+    span = nodes[:, -1] - nodes[:, 0]
+    powers = np.arange(width)
+    # the weights w are exact on each monomial: sum_j w_j s_j**p = functional(s**p)
+    vandermonde_t = ((nodes - x[:n, None]) / span[:, None])[:, None, :] ** powers[:, None]
+    if integrate:
+        functional = span[:, None] * (np.diff(x) / span)[:, None] ** (powers + 1) / (powers + 1)
+    else:
+        functional = np.zeros((n, width))
+        functional[:, 1] = 1.0 / span
+    weights = np.linalg.solve(vandermonde_t, functional[:, :, None])[:, :, 0]
+
+    w = weights.reshape(weights.shape + (1,) * (y.ndim - 1))
+    inner = slice(lead, k - width + lead + 1)
+    mid, term = out[inner], np.empty_like(out[inner])
+    np.multiply(y[: k - width + 1], w[inner, 0], out=mid)
+    for j in range(1, width):
+        mid += np.multiply(y[j : k - width + 1 + j], w[inner, j], out=term)
+    for i in [*range(lead), *range(inner.stop, n)]:
+        out[i] = np.tensordot(weights[i], y[:width] if i < lead else y[-width:], axes=(0, 0))
+    return out
 
 
 def derivative_series(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """d y/d x sampled on the grid x, differentiating along axis 0.
 
     Uniform grids use 4th-order central stencils with one-sided 4th-order
-    edges; non-uniform grids use 5-point Fornberg weights per node.  Grids
-    shorter than 5 samples fall back to numpy.gradient.
+    edges; non-uniform grids differentiate the quartic through the 5 nodes
+    nearest each node.  Grids shorter than 5 samples use numpy.gradient.
     """
     y = np.asarray(y)
     x = np.asarray(x, dtype=float)
@@ -76,11 +88,7 @@ def derivative_series(y: np.ndarray, x: np.ndarray) -> np.ndarray:
         out[-1] = -np.tensordot(_EDGE0, y[-5:][::-1], axes=(0, 0)) / h
         out[-2] = -np.tensordot(_EDGE1, y[-5:][::-1], axes=(0, 0)) / h
         return out
-    for i in range(k):
-        lo = min(max(i - 2, 0), k - 5)
-        w = fornberg_weights(x[lo : lo + 5], x[i], 1)
-        out[i] = np.tensordot(w, y[lo : lo + 5], axes=(0, 0))
-    return out
+    return _local_polynomial(y, x, out, integrate=False)
 
 
 def unwrap_angles(angles: np.ndarray) -> tuple[np.ndarray, int]:
@@ -133,12 +141,7 @@ def cumulative_integral(y: np.ndarray, x: np.ndarray) -> np.ndarray:
         increments[0] = h * np.dot(_STEP_LEFT, y[:4])
         increments[-1] = h * np.dot(_STEP_RIGHT, y[-4:])
     else:
-        for i in range(k - 1):
-            lo = min(max(i - 1, 0), k - 4)
-            nodes = x[lo : lo + 4]
-            coeffs = np.polynomial.polynomial.polyfit(nodes - x[i], y[lo : lo + 4], 3)
-            anti = np.polynomial.polynomial.polyint(coeffs)
-            increments[i] = np.polynomial.polynomial.polyval(x[i + 1] - x[i], anti)
+        _local_polynomial(y, x, increments, integrate=True)
     out = np.zeros(k)
     out[1:] = np.cumsum(increments)
     return out

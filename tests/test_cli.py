@@ -2,6 +2,7 @@ import csv
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -9,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgplab import cli, errors, linalg, metrics
-from qgplab.models import RobustModelParams, RotatingSpinParams
+from qgplab import cli, errors, linalg, metrics, models
+from qgplab.models import BlochCurveModel, RobustModelParams, RotatingSpinParams, SmoothScalar
 
 ROTATING_CONFIG = """
 [model]
@@ -356,6 +357,52 @@ class TestConditions:
         text = (tmp_path / "out" / "summary.txt").read_text()
         assert text.count("-> PASS") == 2
 
+    @pytest.mark.parametrize("old,new,curve", [
+        ("phi_type = poly\nphi_coeffs = 0.0,1.0", "phi_type = sinusoid\nphi_coeffs = 0.5,1.5,2.0,0.3",
+         BlochCurveModel(theta=SmoothScalar.poly([1.0, 0.2]),
+                         phi=SmoothScalar.sinusoid(0.5, 1.5, 2.0, 0.3))),
+        ("theta_type = poly\ntheta_coeffs = 1.0,0.2", "theta_type = const\ntheta_coeffs = 1.0",
+         BlochCurveModel(theta=SmoothScalar.constant(1.0), phi=SmoothScalar.poly([0.0, 1.0]))),
+    ], ids=["sinusoid-phi", "const-theta"])
+    def test_bloch_curve_columns_are_the_closed_form(self, tmp_path, old, new, curve):
+        path = tmp_path / "bloch.ini"
+        path.write_text(BLOCH_CONFIG.format(out=tmp_path / "out").replace(old, new))
+        assert cli.main(["conditions", "--config", str(path)]) == 0
+        header, rows = read_csv(tmp_path / "out" / "conditions.csv")
+        tau = rows[:, header.index("tau")]
+        assert np.array_equal(rows[:, header.index("delta_qgp")], models.bloch_qgp(curve, tau))
+        assert np.array_equal(rows[:, header.index("|gamma|")],
+                              np.abs(models.bloch_coupling(curve, tau)))
+
+    def test_low_overlap_warning_reaches_stderr_once(self, tmp_path):
+        # the rotating spin at K = 40 as fourier terms; 65 samples are too few
+        # for level tracking to keep overlaps above 0.99
+        path = tmp_path / "fast.ini"
+        path.write_text(f"""
+[model]
+name = fourier
+dim = 2
+term1 = {{"matrix": "sigma_z", "omega": 0.0, "amplitude": 1.0}}
+term2 = {{"matrix": "sigma_x", "omega": 80.0, "amplitude": 0.4}}
+term3 = {{"matrix": "sigma_y", "omega": 80.0, "amplitude": 0.4, "phase": -1.5707963267948966}}
+
+[run]
+tau_end = 2.0
+samples = 65
+
+[output]
+dir = {tmp_path / "out"}
+""")
+        src = Path(__file__).parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "qgplab.cli", "conditions", "--config", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.count("level-tracking overlap dropped to") == 1
+        assert "(< 0.99); consider a finer grid" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+
     def test_three_level_emits_per_pair_files(self, tmp_path):
         config = f"""
 [model]
@@ -637,10 +684,14 @@ class TestInputEdges:
         ("fourier", lambda text: add("model", 'term10 = {"matrix": [[0, 1], [0, 0]]}')(
             add("model", 'term2 = {"matrix": "sigma_x", "omega": 1.0}')(text)),
          "field 'term10' in [model]: matrix is not Hermitian"),
+        ("bloch", lambda text: text.replace("theta_type = poly", "theta_type = spline"),
+         "'theta_type' in [model]: unknown kind 'spline'"),
+        ("bloch", lambda text: text.replace("theta_type = poly", "theta_type = const"),
+         "'theta_coeffs' in [model]: constant wants one value"),
     ], ids=["b-nan", "a-inf", "coeffs-nan", "omega-nan", "amplitude-inf", "phase-nan",
             "matrix-nan", "term-not-object", "entry-not-a-pair", "dim-negative", "dim-one",
             "dim-zero-no-terms", "b-negative", "b-zero", "term-not-hermitian",
-            "term-wrong-shape", "term10-beside-term2"])
+            "term-wrong-shape", "term10-beside-term2", "unknown-kind", "const-two-values"])
     def test_bad_model_param_exits_2(self, tmp_path, capsys, base, damage, message):
         path = tmp_path / "model.ini"
         path.write_text(damage(base_config(base, tmp_path / "out")))

@@ -137,6 +137,21 @@ class TestSchrodinger:
         with pytest.raises(StepUnderflowError, match="substep below 1e-12"):
             evolve_schrodinger(stiff, psi0, grid, tol=1e-12)
 
+    def test_substep_budget_names_tol_and_last_difference(self, regime_unfaithful, monkeypatch):
+        # 64 intervals: passes of 128 and 256 substeps fit the budget, 512 do not
+        model = rotating_spin(regime_unfaithful)
+        grid = TimeGrid.uniform(0.0, 2.0, 65)
+        psi0 = np.array([1.0, 0.0], dtype=complex)
+        monkeypatch.setattr(evolve, "_MAX_TOTAL_SUBSTEPS", 256)
+        with pytest.raises(StepUnderflowError) as raised:
+            evolve_schrodinger(model, psi0, grid, tol=1e-14)
+        halved = [evolve._propagate_fixed(model.sample, psi0, grid.samples, s, CF4) for s in (2, 4)]
+        last = float(np.max(np.linalg.norm(halved[1] - halved[0], axis=1)))
+        assert str(raised.value) == (
+            "no convergence below tol 1e-14 within the budget of 256 substeps per pass; "
+            f"last refinement difference {last:.3g}"
+        )
+
     def test_rejects_unnormalized_state(self):
         model = constant_model(SIGMA_Z)
         grid = TimeGrid.uniform(0.0, 1.0, 3)

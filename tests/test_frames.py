@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment as scipy_linear_sum_assignment
@@ -403,11 +405,17 @@ class TestLevelTracking:
         assert str(raised.value) == str(expected.value)
         assert "between samples 2 and 3" in str(raised.value)
 
-    def test_low_overlap_warns(self):
+    def test_low_overlap_warns(self, caplog):
         fast = rotating_spin(RotatingSpinParams(eta=1.0, xi=0.4, K=40.0))
         grid = TimeGrid.uniform(0.0, 2.0, 65)
-        with pytest.warns(RuntimeWarning, match="level-tracking overlap"):
+        with caplog.at_level(logging.WARNING, logger="qgplab.frames"):
             frame = build_frame(fast, grid, gamma_mode="analytic_derivative")
+        [record] = [r for r in caplog.records if r.name == "qgplab.frames"]
+        assert record.levelno == logging.WARNING
+        assert record.getMessage() == (
+            f"level-tracking overlap dropped to {frame.min_overlap:.4f} (< 0.99); "
+            "consider a finer grid"
+        )
         _, _, min_overlap = sequential_track(*eigh_batch(fast.sample(grid.samples)))
         assert frame.min_overlap < 0.99
         assert frame.min_overlap == pytest.approx(min_overlap, rel=3e-15)

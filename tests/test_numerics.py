@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qgplab.numerics import derivative_series, valid_runs
+from qgplab.numerics import cumulative_integral, derivative_series, valid_runs
 
 
 def stacked_stencil(y, h):
@@ -26,6 +26,70 @@ class TestDerivativeSeries:
         y = np.stack([x**4 - 2.0 * x**3, 3.0 * x**2 + x], axis=1)
         dy = np.stack([4.0 * x**3 - 6.0 * x**2, 6.0 * x + 1.0], axis=1)
         np.testing.assert_allclose(derivative_series(y, x), dy, rtol=0.0, atol=1e-11)
+
+
+def clustered_grid(rng, samples):
+    """A seeded non-uniform grid: steps spread over 2.5 decades, smallest step
+    at least 1e-3 of the mean step, placed on [a, a + 2] for a random a."""
+    steps = 10.0 ** rng.uniform(-2.5, 0.0, samples - 1)
+    assert steps.min() >= 1e-3 * steps.mean()
+    start = rng.uniform(-3.0, 3.0)
+    return start + 2.0 * np.concatenate(([0.0], np.cumsum(steps))) / steps.sum()
+
+
+def cubic_map_grid(samples):
+    """u + u**3 on a uniform u in [0, 1]: the step grows fourfold along the grid."""
+    u = np.linspace(0.0, 1.0, samples)
+    return u + u**3
+
+
+def max_rel_error(got, expected):
+    return np.max(np.abs(got - expected)) / np.max(np.abs(expected))
+
+
+class TestNonUniformGrids:
+    """On a non-uniform grid each node or step takes the polynomial through
+    its 5 (derivative) or 4 (integral) nearest nodes, so both rules are exact
+    for polynomials up to that degree."""
+
+    SIZES = (5, 6, 7, 9, 33, 500)
+
+    @pytest.mark.parametrize("samples", SIZES)
+    def test_derivative_exact_for_quartics(self, samples):
+        rng = np.random.default_rng(samples)
+        x = clustered_grid(rng, samples)
+        for degree in range(5):
+            # a (samples, 2, 2) stack of complex polynomials, shaped like frame vectors
+            coeffs = rng.standard_normal((degree + 1, 2, 2)) + 1j * rng.standard_normal((degree + 1, 2, 2))
+            y = np.moveaxis(np.polynomial.polynomial.polyval(x, coeffs), -1, 0)
+            dy = np.moveaxis(
+                np.polynomial.polynomial.polyval(x, np.polynomial.polynomial.polyder(coeffs)), -1, 0
+            )
+            if degree == 0:
+                assert np.max(np.abs(derivative_series(y, x))) <= 1e-9 * np.max(np.abs(y))
+            else:
+                assert max_rel_error(derivative_series(y, x), dy) <= 1e-9
+
+    @pytest.mark.parametrize("samples", SIZES[:1] + (4,) + SIZES[1:])
+    def test_integral_exact_for_cubics(self, samples):
+        rng = np.random.default_rng(1000 + samples)
+        x = clustered_grid(rng, samples)
+        for degree in range(4):
+            coeffs = rng.standard_normal(degree + 1)
+            anti = np.polynomial.polynomial.polyint(coeffs)
+            y = np.polynomial.polynomial.polyval(x, coeffs)
+            expected = np.polynomial.polynomial.polyval(x, anti) - np.polynomial.polynomial.polyval(x[0], anti)
+            assert max_rel_error(cumulative_integral(y, x), expected) <= 1e-12
+
+    def test_fourth_order_convergence_on_the_cubic_map_grid(self):
+        def errors(samples):
+            x = cubic_map_grid(samples)
+            d_err = np.max(np.abs(derivative_series(np.sin(3.0 * x), x) - 3.0 * np.cos(3.0 * x)))
+            i_err = np.max(np.abs(cumulative_integral(np.sin(3.0 * x), x) - (1.0 - np.cos(3.0 * x)) / 3.0))
+            return np.array([d_err, i_err])
+
+        coarse, fine = errors(129), errors(257)
+        assert np.all(coarse / fine >= 10.0)
 
 
 def looped_runs(mask):

@@ -1,5 +1,6 @@
 """The scripts under scripts/, run as a user runs them."""
 
+import inspect
 import os
 import re
 import subprocess
@@ -70,3 +71,22 @@ def test_reference_outputs_writes_every_run(tmp_path):
     )
     stdout = (out / "spin2_resonant-seed0" / "stdout.txt").read_text()
     assert stdout.startswith("simulate: wrote OUT/spin2_resonant-seed0/trajectory.csv ")
+
+
+def test_untested_lines_reports_lines_no_test_ran():
+    from qgplab import cli, numerics
+
+    text = run_script("untested_lines.py", "-q", "-p", "no:cacheprovider",
+                      str(ROOT / "tests" / "test_numerics.py"))
+    reported = {}
+    for path, line in re.findall(r"^src/qgplab/(\w+\.py):(\d+): ", text, flags=re.M):
+        reported.setdefault(path, set()).add(int(line))
+
+    def lines_of(func):
+        source, start = inspect.getsourcelines(func)
+        return set(range(start, start + len(source)))
+
+    assert reported["cli.py"] & lines_of(cli.main)
+    assert not reported.get("numerics.py", set()) & lines_of(numerics.valid_runs)
+    # the non-uniform grid rule of derivative_series and cumulative_integral
+    assert not reported.get("numerics.py", set()) & lines_of(numerics._local_polynomial)

@@ -173,7 +173,10 @@ def _fourier(params: dict):
     if dim < 2:
         raise ConfigError(f"field 'dim' in [model]: must be an integer >= 2, got {dim}")
     terms = [_parse_term(key, params[key], dim) for key in sorted(params) if key.startswith("term")]
-    return fourier_nlevel(dim, terms), None
+    try:
+        return fourier_nlevel(dim, terms), None
+    except ValueError as exc:  # numpy cannot shape a dim x dim stack
+        raise ConfigError(f"field 'dim' in [model]: {exc}") from exc
 
 
 #: model name -> (float-valued keys, which [sweep] takes; its other keys;
@@ -287,12 +290,7 @@ def _validate(cfg: ScenarioConfig, sources: dict[str, str]) -> None:
 def build_model(cfg: ScenarioConfig) -> tuple[HamiltonianModel, object]:
     """The configured model and the parameter record its closed forms take,
     ``RotatingSpinParams`` or ``RobustModelParams`` (None for other models)."""
-    try:
-        return _MODELS[cfg.model_name][2](cfg.model_params)
-    except QgplabError:
-        raise
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"section [model]: {exc}") from exc
+    return _MODELS[cfg.model_name][2](cfg.model_params)
 
 
 def _parse_term(key: str, raw: str, dim: int) -> FourierTerm:
@@ -577,7 +575,33 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> dict[str,
     return sources
 
 
+#: (parameter, value) of glibc's M_MMAP_THRESHOLD, M_TRIM_THRESHOLD and
+#: M_ARENA_MAX, which ``main`` sets
+_MALLOPT = ((-3, 64 << 20), (-1, 256 << 20), (-8, 1))
+
+
+def _tune_heap() -> None:
+    """Keep freed memory mapped from one pass to the next (glibc only).
+
+    By default glibc unmaps freed blocks above its dynamic mmap threshold and
+    trims the free heap top, so every pass page-faults its stacks and the
+    pool's per-block temporaries back in.  ``_MALLOPT`` keeps blocks up to
+    64 MiB on the heap and up to 256 MiB of free top mapped, and makes the
+    pool's threads share one arena instead of each keeping its own high-water
+    mark.  Without ``mallopt`` nothing happens; no result changes either way.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no glibc
+        return
+    for param, value in _MALLOPT:
+        mallopt(param, value)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _tune_heap()
     args = make_parser().parse_args(argv)
     try:
         cfg = replace(FIGURE1) if args.command == "figure1" else parse_config(args.config)

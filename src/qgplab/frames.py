@@ -14,6 +14,13 @@ angles.  A matched overlap below 0.5 raises ``TrackingAmbiguityError``.
 scipy's solver is imported at the first such step, so a run whose tracking
 keeps the eigh ordering never loads ``scipy.optimize``.
 
+The per-sample stages run in the ``EXPM_BLOCK``-sample blocks of
+``linalg.for_blocks``, each block writing its slice of one output: the
+diagonal overlaps, the transport phase multiply and the gamma assembly.
+The assignment steps and the cumulative sum of the angles stay sequential,
+and ``eigh_batch``, ``model.sample_derivative`` and
+``numerics.derivative_series`` are called on the calling thread.
+
 gamma comes from one of three routes, recorded in ``gamma_mode``:
 
 * ``analytic_frame``      - the model supplies energies, vectors and gamma in
@@ -46,7 +53,7 @@ from .errors import (
     TrackingAmbiguityError,
     UndefinedArgError,
 )
-from .linalg import dagger, eigh_batch
+from .linalg import EXPM_BLOCK, dagger, eigh_batch, for_blocks
 from .models import HamiltonianModel, SmoothScalar
 
 log = logging.getLogger(__name__)
@@ -153,7 +160,13 @@ def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _diagonal_overlaps(vectors: np.ndarray) -> np.ndarray:
     """<phi_n(k-1)|phi_n(k)> for every column n and step k, shape (K-1, N)."""
-    return np.einsum("kin,kin->kn", vectors[:-1].conj(), vectors[1:])
+    out = np.empty((vectors.shape[0] - 1, vectors.shape[2]), dtype=vectors.dtype)
+
+    def block(k0, k1):
+        np.einsum("kin,kin->kn", vectors[k0:k1].conj(), vectors[k0 + 1 : k1 + 1], out=out[k0:k1])
+
+    for_blocks(block, out.shape[0], EXPM_BLOCK)
+    return out
 
 
 def _track_levels(
@@ -190,9 +203,41 @@ def _track_levels(
         overlaps = _diagonal_overlaps(vectors)
     phases = np.zeros(energies.shape)
     np.cumsum(np.angle(overlaps), axis=0, out=phases[1:])
-    vectors = vectors * np.exp(-1j * phases)[:, None, :]
+    transported = np.empty(vectors.shape, dtype=np.result_type(vectors, 1j))
+
+    def block(k0, k1):
+        factors = np.exp(-1j * phases[k0:k1])[:, None, :]
+        np.multiply(vectors[k0:k1], factors, out=transported[k0:k1])
+
+    for_blocks(block, transported.shape[0], EXPM_BLOCK)
     min_overlap = min(1.0, float(np.min(np.abs(overlaps))))
-    return energies, vectors, min_overlap
+    return energies, transported, min_overlap
+
+
+def _gamma(
+    vectors: np.ndarray, dvec: np.ndarray, energies: np.ndarray, dh: np.ndarray | None
+) -> np.ndarray:
+    """gamma_nm = i<phi_n|phi_m_dot>, assembled per block in place.
+
+    With ``dh`` the off-diagonals are i <phi_n|dh|phi_m> / (e_m - e_n) and only
+    the diagonal comes from the differentiated vectors ``dvec``.
+    """
+    gamma = np.empty(vectors.shape, dtype=np.result_type(vectors, 1j))
+    idx = np.arange(vectors.shape[-1])
+
+    def block(k0, k1):
+        v, dv, g = vectors[k0:k1], dvec[k0:k1], gamma[k0:k1]
+        if dh is None:
+            np.multiply(1j, dagger(v) @ dv, out=g)
+            return
+        np.matmul(dagger(v), dh[k0:k1] @ v, out=g)
+        g *= 1j
+        g /= energies[k0:k1, None, :] - energies[k0:k1, :, None]
+        g[:, idx, idx] = 1j * np.einsum("kin,kin->kn", v.conj(), dv)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for_blocks(block, gamma.shape[0], EXPM_BLOCK)
+    return gamma
 
 
 def build_frame(
@@ -220,19 +265,10 @@ def build_frame(
     if min_gap < GAP_FLOOR:
         raise GapClosureError(f"min gap {min_gap:.3e} below floor {GAP_FLOOR:.3e}")
 
-    if mode == "analytic_derivative":
-        # i <phi_n|dh|phi_m> / (e_m - e_n), assembled in place
-        gamma = dagger(vectors) @ (model.sample_derivative(taus) @ vectors)
-        gamma *= 1j
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gamma /= energies[:, None, :] - energies[:, :, None]
+    if mode != "analytic_frame":
         dvec = numerics.derivative_series(vectors, taus)
-        diag = 1j * np.einsum("kin,kin->kn", vectors.conj(), dvec)
-        idx = np.arange(model.dim)
-        gamma[:, idx, idx] = diag
-    elif mode == "finite_difference":
-        dvec = numerics.derivative_series(vectors, taus)
-        gamma = 1j * (dagger(vectors) @ dvec)
+        dh = model.sample_derivative(taus) if mode == "analytic_derivative" else None
+        gamma = _gamma(vectors, dvec, energies, dh)
 
     return SpectralFrame(
         grid=grid,

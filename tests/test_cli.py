@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import importlib.util
 import json
 import os
@@ -699,6 +700,47 @@ class TestInputEdges:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,base,damage,message", [
+        ("conditions", "bloch", lambda text: text.replace("phi_type = poly", "phi_type = sin"),
+         "'phi_coeffs' in [model]: sinusoid wants offset,amplitude,omega[,phase]"),
+        ("conditions", "fourier", lambda text: text[text.index("[run]"):],
+         "missing section [model]"),
+        ("conditions", "fourier", lambda text: text.replace("name = fourier", "name = fourir"),
+         "field 'name' in [model]: unknown model 'fourir'"),
+        ("conditions", "rotating", lambda text: text.replace("tau_start = 0.0", "tau_start = 1.0"),
+         "field 'tau_end' in [run]: must exceed tau_start"),
+        ("conditions", "rotating", lambda text: text.replace("tau_start = 0.0", "tau_start = 2.5"),
+         "field 'tau_end' in [run]: must exceed tau_start"),
+        ("conditions", "rotating", add("conditions", "pairing = lenient"),
+         "field 'pairing' in [conditions]: conservative or strict"),
+        # no term to check the shape against: numpy refuses the dim x dim stack
+        ("conditions", "fourier", lambda text: "".join(
+            line for line in text.replace("dim = 2", "dim = 10000000000").splitlines(keepends=True)
+            if not line.startswith("term1")),
+         "field 'dim' in [model]: "),
+        ("conditions", "fourier", add("model", 'term2 = {"matrix": "sigma_w", "omega": 1.0}'),
+         "field 'term2' in [model]: unknown matrix name 'sigma_w'"),
+        ("sweep", "rotating", lambda text: text, "missing section [sweep] (nothing to sweep)"),
+        ("sweep", "rotating", lambda text: text.replace("name = rotating_spin", "name = robust")
+         .replace("xi = 0.5\nk = 1.0", "eta0 = 10.0\neta1 = 1.0\neta2 = 0.1")
+         + "\n[sweep]\neta = 1.0\neta0 = 10.0\neta1 = 1.0\neta2 = 0.1\n",
+         "section [sweep]: at most 3 swept parameters, got 4"),
+    ], ids=["sinusoid-two-coeffs", "no-model-section", "unknown-model", "tau-end-equal",
+            "tau-end-below", "pairing", "dim-too-big", "unknown-matrix-name", "no-sweep-section",
+            "four-swept"])
+    def test_config_error_exits_2(self, tmp_path, capsys, command, base, damage, message):
+        path = tmp_path / "model.ini"
+        path.write_text(damage(base_config(base, tmp_path / "out")))
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["missing.ini", "."], ids=["missing", "directory"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        assert cli.main(["conditions", "--config", str(path)]) == 2
+        assert f"config error: cannot read config file {str(path)!r}" in capsys.readouterr().err
+
     def test_readme_ini_example_is_accepted(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         [block] = [part.split("```")[0] for part in readme.split("```ini\n")[1:]]
@@ -875,3 +917,35 @@ class TestThreads:
         main = threading.get_ident()
         assert {thread for _, thread in calls} == {main}
         assert pade_threads and main not in pade_threads
+
+
+class TestHeap:
+    """``cli.main`` tunes glibc's allocator through ``mallopt`` and does
+    nothing where the C library has no ``mallopt``."""
+
+    def test_each_setting_is_applied(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        cli._tune_heap()
+        # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, M_ARENA_MAX
+        assert calls == [(-3, 64 << 20), (-1, 256 << 20), (-8, 1)]
+
+    @pytest.mark.parametrize("libc", ["no-mallopt", "no-library"])
+    def test_without_mallopt_nothing_happens(self, tmp_path, monkeypatch, libc):
+        def cdll(name):
+            if libc == "no-library":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert cli._tune_heap() is None
+        path = tmp_path / "constant.ini"
+        path.write_text(CONSTANT_CONFIG.format(out=tmp_path / "out"))
+        assert cli.main(["conditions", "--config", str(path)]) == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qgplab import evolve, qgp
+from qgplab import conditions, evolve, qgp
 from qgplab.conditions import (
     PiMatrix,
     condition_report,
@@ -15,12 +15,13 @@ from qgplab.conditions import (
 )
 from qgplab.errors import (
     InvalidParamsError,
+    InvariantViolationError,
     MatchingAmbiguityError,
     NotAntisymmetricError,
 )
 from conftest import random_hermitian
 from qgplab.frames import TimeGrid, build_frame, regauge
-from qgplab.linalg import SIGMA_Z, expm_unitary
+from qgplab.linalg import SIGMA_Z, EigenSystem, expm_unitary
 from qgplab.models import (
     FourierTerm,
     RotatingSpinParams,
@@ -239,6 +240,38 @@ class TestPiBound:
             PiMatrix(omegas=np.zeros(2), couplings=np.array([[0.0, -0.1], [-0.1, 0.0]]))
         with pytest.raises(InvalidParamsError):
             PiMatrix(omegas=np.zeros(2), couplings=np.array([[0.1, 0.0], [0.0, 0.1]]))
+
+    def test_three_level_shape_and_symmetry_rejected(self):
+        with pytest.raises(InvalidParamsError, match="couplings shape must match omegas"):
+            PiMatrix(omegas=np.array([0.0, 3.0, 7.0]), couplings=np.zeros((2, 2)))
+        asymmetric = np.zeros((3, 3))
+        asymmetric[0, 1], asymmetric[1, 0] = 0.1, 0.2
+        with pytest.raises(InvalidParamsError, match="couplings must be symmetric"):
+            PiMatrix(omegas=np.array([0.0, 3.0, 7.0]), couplings=asymmetric)
+
+    def test_three_level_condition_ratio(self):
+        g = np.zeros((3, 3))
+        g[0, 1] = g[1, 0] = 0.4
+        g[0, 2] = g[2, 0] = 1.5
+        g[1, 2] = g[2, 1] = 0.3
+        pi = PiMatrix(omegas=np.array([0.0, 2.0, 5.0]), couplings=g)
+        # level 0: couplings 0.4 and 1.5 over the gaps 2 and 5
+        assert pi.condition_ratio(0) == 1.5 / 2.0
+        assert pi.condition_ratio(0, pairing="strict") == 1.5 / 5.0
+        # levels 0 and 1 share omega 1.0: a zero phase-rate gap
+        degenerate = PiMatrix(omegas=np.array([1.0, 1.0, 4.0]), couplings=g)
+        assert degenerate.condition_ratio(0) == math.inf
+        assert degenerate.condition_ratio(2, pairing="strict") == 1.5 / 3.0
+
+    def test_violated_bound_raises(self, monkeypatch):
+        """The bound holds for every Pi whose safety intervals are disjoint, so the
+        eigenvalues are shifted by 0.25: every margin is then 0 - 0.25."""
+        exact = conditions.eigh
+        monkeypatch.setattr(conditions, "eigh", lambda h: EigenSystem(
+            exact(h).values + 0.25, exact(h).vectors))
+        pi = PiMatrix(omegas=np.array([0.0, 3.0, 7.0]), couplings=np.zeros((3, 3)))
+        with pytest.raises(InvariantViolationError, match="worst margin -2.500e-01"):
+            pi_bound(pi)
 
 
 class TestConstantCaseSolution:

@@ -1,4 +1,5 @@
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -419,3 +420,31 @@ class TestLevelTracking:
         _, _, min_overlap = sequential_track(*eigh_batch(fast.sample(grid.samples)))
         assert frame.min_overlap < 0.99
         assert frame.min_overlap == pytest.approx(min_overlap, rel=3e-15)
+
+
+class TestPooledFrame:
+    """build_frame's per-sample blocks on a two-CPU pool against the same call
+    run inline on one CPU: every array is bit-identical."""
+
+    @pytest.mark.parametrize("case,mode,assignments", [
+        ("fourier4", "analytic_derivative", 0),
+        ("fourier4", "finite_difference", 0),
+        ("crossings", "analytic_derivative", 3),
+        ("crossings", "finite_difference", 3),
+    ])
+    def test_pooled_equals_inline(self, monkeypatch, assign_calls, case, mode, assignments):
+        if case == "fourier4":
+            model, grid = random_fourier(3), TimeGrid.uniform(0.0, 2.0 * np.pi, 5000)
+        else:
+            q, _ = np.linalg.qr(random_hermitian(np.random.default_rng(11), 3))
+            model, _ = uncoupled_crossings(basis=q)
+            grid = TimeGrid.uniform(-1.0, 1.0, 3000)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pooled = build_frame(model, grid, gamma_mode=mode)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            inline = build_frame(model, grid, gamma_mode=mode)
+        assert len(assign_calls) == 2 * assignments
+        for name in ("energies", "vectors", "gamma"):
+            assert np.array_equal(getattr(pooled, name), getattr(inline, name))
+        assert pooled.min_overlap == inline.min_overlap

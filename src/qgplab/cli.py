@@ -581,14 +581,17 @@ _MALLOPT = ((-3, 64 << 20), (-1, 256 << 20), (-8, 1))
 
 
 def _tune_heap() -> None:
-    """Keep freed memory mapped from one pass to the next (glibc only).
+    """Keep freed memory mapped for reuse (glibc only).
 
-    By default glibc unmaps freed blocks above its dynamic mmap threshold and
-    trims the free heap top, so every pass page-faults its stacks and the
-    pool's per-block temporaries back in.  ``_MALLOPT`` keeps blocks up to
-    64 MiB on the heap and up to 256 MiB of free top mapped, and makes the
-    pool's threads share one arena instead of each keeping its own high-water
-    mark.  Without ``mallopt`` nothing happens; no result changes either way.
+    By default glibc serves blocks above a dynamic threshold (at most 32 MiB)
+    with ``mmap``, unmaps them when they are freed and trims the free heap
+    top, so a run page-faults its stacks and the pool's per-block temporaries
+    in again each time it allocates them.  ``_MALLOPT`` serves blocks up to
+    64 MiB from the heap (a (32768, 8, 8) complex stack is 32 MiB), keeps up
+    to 256 MiB of free top mapped, and makes the pool's threads share one
+    arena instead of each keeping its own high-water mark.  The settings hold
+    for the whole process, also after ``main`` returns.  Without ``mallopt``
+    nothing happens; no result changes either way.
     """
     import ctypes
 

@@ -28,22 +28,22 @@ entries as elementwise products of the stacked entries, 5-7x faster on
 
 The batched kernels split their stacks across threads.  ``for_blocks``
 runs the N > 2 exponential, ``eigh_batch``, the ``fourier`` model's
-sample sums, the per-sample stages of ``frames.build_frame`` (diagonal
-overlaps, transport phases, gamma assembly) and the uniform derivative
-stencil of ``numerics`` on a thread pool, one fixed contiguous block of the
-leading axis per task, each task writing a disjoint slice of an output
-allocated beforehand.  numpy releases the interpreter lock inside LAPACK, ``matmul``
-and ``einsum``, so the blocks run in parallel.  The pool is created on first
-use with one worker per CPU the process may run on
-(``os.sched_getaffinity``); with one such CPU, or one block, the blocks run
-inline on the calling thread, and there is no option.  The bytes do not
+sample sums and the per-sample stages of ``frames.build_frame`` (diagonal
+overlaps, transport phases, gamma assembly) on a thread pool, one fixed
+contiguous block of the leading axis per task, each task writing a disjoint
+slice of an output allocated beforehand.  numpy releases the interpreter
+lock inside LAPACK, ``matmul`` and ``einsum``, so the blocks run in
+parallel.  The pool is created on first use with one worker per CPU the
+process may run on (``os.sched_getaffinity``); with one such CPU, or one
+block, the blocks run inline on the calling thread, and there is no option.  The bytes do not
 depend on the thread count: the block boundaries are fixed (``EXPM_BLOCK``
 from index 0), every result is computed per matrix within its block, and
 the exponential picks its Pade degree and squarings per block, exactly as
 an inline loop over the same blocks does.  The public functions themselves
 (``eigh_batch``, ``expm_unitary_batch``, ``model.sample``,
 ``model.sample_derivative``, ``numerics.derivative_series``) always run on
-the calling thread; only their blocks run on the pool.
+the calling thread; only the blocks they hand to ``for_blocks`` run on the
+pool.
 """
 
 from __future__ import annotations

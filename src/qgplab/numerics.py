@@ -6,23 +6,15 @@ step integral, one-sided at the edges).  Non-uniform grids use the local
 polynomial through the 5 nodes nearest each node (derivative) or the 4 nodes
 nearest each step (step integral), its weights solved per node in scaled
 offsets.  Shorter grids fall back to ``np.gradient`` and the trapezoid rule.
-The uniform interior derivative stencil runs on the blocks of
-``linalg.for_blocks``, about ``_BLOCK_ELEMENTS`` elements each.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import EXPM_BLOCK, for_blocks
-
 # One-sided 4th-order stencils for the first two / last two grid points.
 _EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-
-#: elements per pooled block of the uniform stencil: ``EXPM_BLOCK`` samples of
-#: an 8 x 8 stack; a scalar series of up to 65,540 samples is one block
-_BLOCK_ELEMENTS = 64 * EXPM_BLOCK
 
 
 def _is_uniform(x: np.ndarray) -> bool:
@@ -84,16 +76,13 @@ def derivative_series(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     h = x[1] - x[0]
     out = np.empty_like(y, dtype=np.result_type(y.dtype, float))
     if _is_uniform(x):
-        def stencil(k0, k1):
-            # (y[i-2] - 8 y[i-1] + 8 y[i+1] - y[i+2]) / 12h for i in [k0 + 2, k1 + 2)
-            mid = out[k0 + 2 : k1 + 2]
-            np.subtract(y[k0 + 3 : k1 + 3], y[k0 + 1 : k1 + 1], out=mid)
-            mid *= 8.0
-            mid += y[k0:k1]
-            mid -= y[k0 + 4 : k1 + 4]
-            mid /= 12.0 * h
-
-        for_blocks(stencil, k - 4, max(1, _BLOCK_ELEMENTS // max(1, y[0].size)))
+        # (y[i-2] - 8 y[i-1] + 8 y[i+1] - y[i+2]) / 12h, accumulated in place
+        mid = out[2:-2]
+        np.subtract(y[3:-1], y[1:-3], out=mid)
+        mid *= 8.0
+        mid += y[:-4]
+        mid -= y[4:]
+        mid /= 12.0 * h
         out[0] = np.tensordot(_EDGE0, y[:5], axes=(0, 0)) / h
         out[1] = np.tensordot(_EDGE1, y[:5], axes=(0, 0)) / h
         out[-1] = -np.tensordot(_EDGE0, y[-5:][::-1], axes=(0, 0)) / h

@@ -1,10 +1,7 @@
-import os
-
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from qgplab import numerics
 from qgplab.numerics import cumulative_integral, derivative_series, valid_runs
 
 
@@ -32,59 +29,27 @@ class TestDerivativeSeries:
         np.testing.assert_allclose(derivative_series(y, x), dy, rtol=0.0, atol=1e-11)
 
 
-    def test_pooled_stencil_equals_inline(self, rng, monkeypatch):
-        y = rng.standard_normal((5000, 8, 8)) + 1j * rng.standard_normal((5000, 8, 8))
-        x = np.linspace(0.0, 3.0, 5000)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        pooled = derivative_series(y, x)
-        with monkeypatch.context() as patch:
-            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
-            inline = derivative_series(y, x)
-        assert np.array_equal(pooled, inline)
-
-
 class TestShortGrids:
-    """Grids too short for the 4th-order rules fall back without a pooled block."""
-
-    @pytest.fixture
-    def dispatched(self, monkeypatch):
-        """The sample count of every block dispatch of ``numerics``."""
-        counts = []
-        original = numerics.for_blocks
-
-        def counted(fn, n, block):
-            counts.append(n)
-            return original(fn, n, block)
-
-        monkeypatch.setattr(numerics, "for_blocks", counted)
-        return counts
+    """Grids too short for the 4th-order rules fall back to numpy's gradient
+    and the trapezoid rule."""
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "clustered"])
-    def test_derivative_is_numpy_gradient(self, rng, dispatched, k, uniform):
+    def test_derivative_is_numpy_gradient(self, rng, k, uniform):
         x = np.linspace(0.0, 1.0, k) if uniform else np.cumsum(rng.uniform(0.1, 1.0, k))
         y = rng.standard_normal((k, 3, 3)) + 1j * rng.standard_normal((k, 3, 3))
         expected = np.gradient(y, x, axis=0, edge_order=min(2, k - 1))
         assert np.array_equal(derivative_series(y, x), expected)
-        assert dispatched == []
-
-    def test_five_samples_take_one_stencil_block(self, rng, dispatched):
-        x = np.linspace(0.0, 1.0, 5)
-        y = rng.standard_normal(5)
-        np.testing.assert_allclose(derivative_series(y, x)[2], stacked_stencil(y, 0.25)[0],
-                                   rtol=1e-14)
-        assert dispatched == [1]
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "clustered"])
-    def test_integral_is_trapezoid(self, rng, dispatched, k, uniform):
+    def test_integral_is_trapezoid(self, rng, k, uniform):
         x = np.linspace(0.0, 1.0, k) if uniform else np.cumsum(rng.uniform(0.1, 1.0, k))
         y = rng.standard_normal(k)
         got = cumulative_integral(y, x)
         np.testing.assert_allclose(got, cumulative_trapezoid(y, x, initial=0.0),
                                    rtol=1e-15, atol=1e-15)
         assert got[0] == 0.0
-        assert dispatched == []
 
 
 def clustered_grid(rng, samples):

@@ -28,9 +28,16 @@ kept as the reference method (the default of ``schrodinger_fixed_step``).
 
 Stages of one fixed-substep pass
 --------------------------------
-Each factor's generator is the scaled sum sum_k W[j, k] h(t0 + c_k dt) of
-the stacked samples.  The substep exponentials of each grid interval are
-composed into its transfer matrix with ``linalg.matmul_batch``.
+The grid intervals are taken in chunks whose sample stack is at most
+``_CHUNK_BYTES`` (8 MiB), as equal as whole ``EXPM_BLOCK`` blocks of
+exponentials allow.  Each factor's generator is the scaled sum
+sum_k W[j, k] h(t0 + c_k dt) of the chunk's stacked samples, formed a 32nd
+of the chunk at a time into one generator stack that every chunk of the
+pass reuses.  ``expm_unitary_batch`` writes the exponentials over that
+stack, and the substep exponentials of each grid interval are composed with
+``linalg.matmul_batch``, the last product straight into the interval's slice
+of the transfers.  So a pass holds its transfers, one chunk's samples and
+generators, and the temporaries of the Pade blocks in flight.
 ``_scan_states`` turns the n transfers into the n + 1 states by a two-level
 blocked scan: blocks of w = ceil(sqrt(n)) transfers, w - 1 batched in-block
 prefix products, a sequential walk over the ceil(n/w) block ends for each
@@ -47,12 +54,13 @@ import numpy as np
 
 from .errors import GridMismatchError, StepUnderflowError, UndefinedArgError
 from .frames import SpectralFrame, TimeGrid, adiabatic_trajectory, pair_series, pair_theta
-from .linalg import expm_unitary_batch, matmul_batch, require_state
+from .linalg import EXPM_BLOCK, expm_unitary_batch, matmul_batch, require_state
 from .models import HamiltonianModel
 
-#: bytes of each per-chunk stack of step matrices (samples, generators,
-#: exponentials): bounds peak memory for every N; 2**19 matrices at N = 2
-_CHUNK_BYTES = 32 << 20
+#: bytes of each per-chunk stack of step matrices (samples, then generators
+#: overwritten by their exponentials): bounds peak memory for every N;
+#: 2**17 matrices at N = 2, a whole number of ``EXPM_BLOCK`` blocks at N = 8
+_CHUNK_BYTES = 8 << 20
 
 _MIN_STEP = 1e-12
 
@@ -97,12 +105,32 @@ CF4 = StepRule(
 )
 
 
-def _compose_intervals(step_us: np.ndarray) -> np.ndarray:
-    """Product over the substep axis (time order) of (n, s, N, N) unitaries."""
+def _compose_intervals(step_us: np.ndarray, out: np.ndarray) -> None:
+    """Product over the substep axis (time order) of (n, s, N, N) unitaries,
+    the last product written straight to ``out`` (n, N, N)."""
     u = step_us[:, 0]
-    for j in range(1, step_us.shape[1]):
+    for j in range(1, step_us.shape[1] - 1):
         u = matmul_batch(step_us[:, j], u)
-    return u
+    if step_us.shape[1] == 1:
+        out[...] = u
+    else:
+        matmul_batch(step_us[:, -1], u, out=out)
+
+
+def _factor_generators(hs: np.ndarray, weights: np.ndarray, out: np.ndarray, sub: int) -> None:
+    """Factor j = sum_k W[j, k] h_k of every substep, as scaled sums of the
+    stacked samples (n, s, nodes, N, N) written to ``out`` (n, s, factors, N, N).
+
+    ``sub`` intervals at a time (a 32nd of a chunk), so that the temporaries
+    stay small and in cache; ``weights @ hs`` is one tiny matmul per substep,
+    ~3x slower at N = 2.
+    """
+    for r0 in range(0, hs.shape[0], sub):
+        h, g = hs[r0 : r0 + sub], out[r0 : r0 + sub]
+        for j, row in enumerate(weights):
+            np.multiply(h[:, :, 0], row[0], out=g[:, :, j])
+            for k in range(1, h.shape[2]):
+                g[:, :, j] += row[k] * h[:, :, k]
 
 
 def _interval_transfers(
@@ -115,6 +143,21 @@ def _interval_transfers(
     transfers = np.empty((n_int, dim, dim), dtype=complex)
     matrix_bytes = np.dtype(complex).itemsize * dim * dim
     block = max(1, _CHUNK_BYTES // (matrix_bytes * substeps * max(n_nodes, n_factors)))
+    # where a chunk can hold ``unit`` intervals, a whole number of
+    # ``EXPM_BLOCK`` exponentials, chunks are whole units: each starts on an
+    # ``EXPM_BLOCK`` boundary of the pass's stack, so the Pade degrees do not
+    # depend on the chunking.  The chunks are as equal as that allows, since
+    # a short last chunk would run its exponentials as one block on the
+    # calling thread.
+    unit = EXPM_BLOCK // math.gcd(EXPM_BLOCK, substeps * n_factors)
+    if unit <= block:
+        block -= block % unit
+    else:
+        unit = 1
+    n_chunks = -(-n_int // block)
+    block = -(-n_int // (n_chunks * unit)) * unit
+    # one generator stack per pass, reused by every chunk
+    stack = np.empty((min(block, n_int), substeps, n_factors, dim, dim), dtype=complex)
     offsets = ((np.arange(substeps)[:, None] + rule.nodes[None, :]) / substeps).ravel()
     for i0 in range(0, n_int, block):
         i1 = min(i0 + block, n_int)
@@ -122,18 +165,14 @@ def _interval_transfers(
         spans = taus[i0 + 1 : i1 + 1] - t0
         points = t0[:, None] + offsets[None, :] * spans[:, None]
         hs = sample_h(points.ravel()).reshape(i1 - i0, substeps, n_nodes, dim, dim)
-        # factor j = sum_k W[j, k] h_k as scaled sums of the stacked samples;
-        # ``rule.weights @ hs`` is one tiny matmul per substep, ~3x slower at N = 2
-        generators = np.empty((i1 - i0, substeps, n_factors, dim, dim), dtype=complex)
-        for j, row in enumerate(rule.weights):
-            np.multiply(hs[:, :, 0], row[0], out=generators[:, :, j])
-            for k in range(1, n_nodes):
-                generators[:, :, j] += row[k] * hs[:, :, k]
+        generators = stack[: i1 - i0]
+        _factor_generators(hs, rule.weights, generators, max(1, block // 32))
         # free the samples before the exponentials run their blocks concurrently
         del hs
         generators = generators.reshape(i1 - i0, substeps * n_factors, dim, dim)
         dts = np.broadcast_to((spans / substeps)[:, None], generators.shape[:2])
-        transfers[i0:i1] = _compose_intervals(expm_unitary_batch(generators, dts))
+        expm_unitary_batch(generators, dts, out=generators)
+        _compose_intervals(generators, transfers[i0:i1])
     return transfers
 
 

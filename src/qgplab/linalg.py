@@ -19,6 +19,9 @@ smallest whose theta_m (Higham 2005, Table 2.3: backward error below
 2^-53) bounds the largest ||A||_1 of a block; above theta_13, A is divided
 by 2^s and the result squared s times.  The single-matrix ``expm_unitary``
 keeps the spectral route and serves as the oracle of the batched one.
+``expm_unitary_batch`` takes a numpy-style ``out``, which may be the
+generator stack itself; each block then holds only its own temporaries,
+as U and V are summed in place and Q = V - U overwrites the block's A.
 
 ``matmul_batch`` multiplies stacks of matrices.  ``np.matmul`` pays a fixed
 cost per 2x2 product in a stack (~0.4 us), so for N = 2 it forms the four
@@ -224,7 +227,9 @@ def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
     return (system.vectors * phases) @ dagger(system.vectors)
 
 
-def expm_unitary_batch(hs: np.ndarray, ts: np.ndarray | float) -> np.ndarray:
+def expm_unitary_batch(
+    hs: np.ndarray, ts: np.ndarray | float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Batched exp(-i H_k t_k) for a stack (..., N, N) of Hermitian matrices.
 
     N = 2 takes the closed Pauli form.  N > 2 takes scaling-and-squaring
@@ -235,27 +240,43 @@ def expm_unitary_batch(hs: np.ndarray, ts: np.ndarray | float) -> np.ndarray:
     the evolution step scale (||H t||_2 <= 0.028) it is 2.3e-15 from the
     spectral route with unitarity defect 1.1e-15 (spectral route: 4.4e-15);
     at ||A||_1 = 1e3 (8 squarings) the defect stays <= 1e-13 for N <= 16.
+
+    The result is written to ``out`` when given, a complex array of the
+    shape of ``hs``, which may be ``hs`` itself: each block reads its
+    matrices before it writes them.  The bytes do not depend on ``out``.
     """
     hs = np.asarray(hs, dtype=complex)
     ts = np.broadcast_to(np.asarray(ts, dtype=float), hs.shape[:-2])
+    if out is None:
+        out = np.empty(hs.shape, dtype=complex)
+    elif out.shape != hs.shape or out.dtype != complex:
+        raise ValueError(f"out must be a complex array of shape {hs.shape}")
     if hs.shape[-1] == 2:
-        return _expm_pauli_batch(hs, ts)
+        return _expm_pauli_batch(hs, ts, out)
     dim = hs.shape[-1]
     flat_hs = hs.reshape(-1, dim, dim)
     flat_ts = ts.reshape(-1)
-    out = np.empty(flat_hs.shape, dtype=complex)
+    flat_out = out.reshape(-1, dim, dim)
 
     def block(k0, k1):
         h = flat_hs[k0:k1]
-        h = 0.5 * (h + dagger(h))
-        out[k0:k1] = _pade_unitary((-1j * flat_ts[k0:k1])[:, None, None] * h)
+        a = h + dagger(h)
+        a *= (-0.5j * flat_ts[k0:k1])[:, None, None]
+        flat_out[k0:k1] = _pade_unitary(a)
 
     for_blocks(block, flat_hs.shape[0], EXPM_BLOCK)
-    return out.reshape(hs.shape)
+    if not np.may_share_memory(flat_out, out):  # out's leading axes did not flatten
+        out[...] = flat_out.reshape(out.shape)
+    return out
 
 
 def _pade_unitary(a: np.ndarray) -> np.ndarray:
-    """exp(a) for a block of skew-Hermitian matrices by diagonal Pade."""
+    """exp(a) for a block of skew-Hermitian matrices by diagonal Pade.
+
+    Overwrites ``a``.  The even powers are summed into U and V as they are
+    formed, and b_1 I and b_0 I are added last, so every entry is rounded
+    as in b_1 I + sum_k b_{2k+3} A^{2k+2} and its even counterpart.
+    """
     norm = float(np.abs(a).sum(axis=-2).max())
     if not math.isfinite(norm):
         raise NotHermitianError("generator contains non-finite entries")
@@ -265,27 +286,37 @@ def _pade_unitary(a: np.ndarray) -> np.ndarray:
             break
     else:
         squarings = math.ceil(math.log2(norm / theta))
-        a = a * 0.5**squarings
+        a *= 0.5**squarings
     b = _PADE_COEFFS[m]
-    eye = np.eye(a.shape[-1])
-    powers = [a @ a]
-    for _ in range(m // 2 - 1):
-        powers.append(powers[-1] @ powers[0])
-    odd = b[1] * eye + sum(b[2 * k + 3] * p for k, p in enumerate(powers))
-    even = b[0] * eye + sum(b[2 * k + 2] * p for k, p in enumerate(powers))
+    square = a @ a
+    odd, even = b[3] * square, b[2] * square
+    power = square
+    for k in range(1, m // 2):
+        power = power @ square
+        odd += b[2 * k + 3] * power
+        even += b[2 * k + 2] * power
+    del square, power
+    n = a.shape[-1]
+    odd.reshape(len(odd), n * n)[:, :: n + 1] += b[1]
+    even.reshape(len(even), n * n)[:, :: n + 1] += b[0]
     odd = a @ odd
-    r = np.linalg.solve(even - odd, even + odd)
+    np.subtract(even, odd, out=a)
+    even += odd
+    del odd
+    r = np.linalg.solve(a, even)
     for _ in range(squarings):
         r = r @ r
     return r
 
 
-def matmul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def matmul_batch(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b`` over broadcast stacks of square matrices (..., N, N);
-    elementwise for N = 2 (see the module docstring)."""
+    elementwise for N = 2 (see the module docstring).  Writes to ``out`` when
+    given, which must not overlap ``a`` or ``b``."""
     if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
-        return a @ b
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
     a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
     b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
     out[..., 0, 0] = a00 * b00 + a01 * b10
@@ -295,11 +326,12 @@ def matmul_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expm_pauli_batch(hs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """exp(-i(a*I + b.sigma)t) = e^{-iat}(cos|b|t I - i sin|b|t bhat.sigma)."""
+def _expm_pauli_batch(hs: np.ndarray, ts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(-i(a*I + b.sigma)t) = e^{-iat}(cos|b|t I - i sin|b|t bhat.sigma),
+    written to ``out``; a, b are copied out of ``hs`` first, so ``out`` may be ``hs``."""
     a = 0.5 * (hs[..., 0, 0] + hs[..., 1, 1]).real
     bz = 0.5 * (hs[..., 0, 0] - hs[..., 1, 1]).real
-    bx = hs[..., 0, 1].real
+    bx = hs[..., 0, 1].real.copy()
     by = -hs[..., 0, 1].imag
     bnorm = np.sqrt(bx * bx + by * by + bz * bz)
     angle = bnorm * ts
@@ -307,7 +339,6 @@ def _expm_pauli_batch(hs: np.ndarray, ts: np.ndarray) -> np.ndarray:
     # sin(|b|t)/|b| via sinc keeps the |b| -> 0 limit exact.
     sin_over = ts * np.sinc(angle / np.pi)
     phase = np.exp(-1j * a * ts)
-    out = np.empty(hs.shape, dtype=complex)
     out[..., 0, 0] = phase * (cos_a - 1j * sin_over * bz)
     out[..., 1, 1] = phase * (cos_a + 1j * sin_over * bz)
     out[..., 0, 1] = phase * (-1j * sin_over * (bx - 1j * by))

@@ -404,6 +404,27 @@ dir = {tmp_path / "out"}
         assert "(< 0.99); consider a finer grid" in done.stderr
         assert "RuntimeWarning" not in done.stderr
 
+    def test_vanishing_coupling_beside_a_persisting_one_exits_3(self, tmp_path, capsys):
+        # the selection-rule model of test_conditions: gamma_20 vanishes, gamma_10 persists
+        path = tmp_path / "rule.ini"
+        path.write_text(f"""
+[model]
+name = fourier
+dim = 3
+term1 = {{"matrix": [[0,0,0],[0,1,0],[0,0,3]], "omega": 0.0, "amplitude": 1.0}}
+term2 = {{"matrix": [[0,1,0],[1,0,0],[0,0,0]], "omega": 1.0, "amplitude": 1.0}}
+
+[run]
+tau_end = 4.0
+samples = 256
+level = 0
+
+[output]
+dir = {tmp_path / "out"}
+""")
+        assert cli.main(["conditions", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("numerical error: Delta_02 undefined ")
+
     def test_three_level_emits_per_pair_files(self, tmp_path):
         config = f"""
 [model]

@@ -18,6 +18,7 @@ from qgplab.errors import (
     InvariantViolationError,
     MatchingAmbiguityError,
     NotAntisymmetricError,
+    UndefinedArgError,
 )
 from conftest import random_hermitian
 from qgplab.frames import TimeGrid, build_frame, regauge
@@ -82,6 +83,18 @@ class TestFrameCriteria:
         p = RotatingSpinParams(eta=1.0, xi=0.5, K=2.0)
         report = condition_report(rotating_frame(p), 1, delta_threshold=0.2)
         assert report.probability_floor == pytest.approx(0.64)
+
+    def test_vanishing_coupling_beside_a_persisting_one_raises(self):
+        # diag(0, 1, 3) + cos(tau) (|0><1| + h.c.): |2> never mixes, so
+        # gamma_20 vanishes identically while gamma_10 persists
+        model = fourier_nlevel(3, [
+            FourierTerm(np.diag([0.0, 1.0, 3.0]), 0.0, 1.0),
+            FourierTerm(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), 1.0, 1.0),
+        ])
+        frame = build_frame(model, TimeGrid.uniform(0.0, 4.0, 257))
+        with pytest.raises(UndefinedArgError, match=r"^Delta_02 undefined \(gamma_20 vanishes\) "
+                           "but other couplings out of the level persist$"):
+            condition_report(frame, 0)
 
     def test_rejects_bad_delta(self):
         frame = rotating_frame(RotatingSpinParams(eta=1.0, xi=0.5, K=1.0))

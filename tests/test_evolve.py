@@ -1,9 +1,12 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_hermitian
 from qgplab import evolve, linalg, metrics, models
-from qgplab.errors import StepUnderflowError, UndefinedArgError
+from qgplab.errors import GridMismatchError, StepUnderflowError, UndefinedArgError
 from qgplab.evolve import (
     CF4,
     _coupling_pairs,
@@ -19,7 +22,9 @@ from qgplab.models import (
     RotatingSpinParams,
     SmoothScalar,
     bloch_curve,
+    FourierTerm,
     constant_model,
+    fourier_nlevel,
     robust_adiabatic_projector,
     robust_exact_propagator,
     robust_model,
@@ -218,6 +223,84 @@ class TestChunking:
         assert len(returned) == 1
         # chunking regroups the exponential's blocks, so equal to rounding only
         np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-13)
+
+
+class TestAlignedChunks:
+    def test_chunks_split_evenly_on_block_boundaries_and_equal_one_chunk(self, rng, monkeypatch):
+        a, b = random_hermitian(rng, 8), random_hermitian(rng, 8)
+        returned = []
+
+        def sample_h(ts):
+            returned.append(ts.size)
+            return a + ts[:, None, None] * b
+
+        psi0 = np.eye(8, dtype=complex)[0]
+        taus = np.linspace(0.0, 1.0, 2100)
+        chunked = evolve._propagate_fixed(sample_h, psi0, taus, 2, evolve.CF4)
+        # 2,099 intervals x 4 samples: 8 MiB holds 2,048 intervals, so two
+        # chunks, 1,280 and 819 intervals, the first 5 blocks of 1,024 matrices
+        assert returned == [4 * 1280, 4 * 819]
+        returned.clear()
+        monkeypatch.setattr(evolve, "_CHUNK_BYTES", 1 << 40)
+        whole = evolve._propagate_fixed(sample_h, psi0, taus, 2, evolve.CF4)
+        assert returned == [4 * 2099]
+        assert np.array_equal(chunked, whole)
+
+
+class TestComposition:
+    def test_single_factor_substep_is_the_transfer(self, rng):
+        # one midpoint substep per interval: each transfer is one exponential
+        h = random_hermitian(rng, 3)
+        psi0 = np.eye(3, dtype=complex)[1]
+        grid = TimeGrid.uniform(0.0, 2.0, 33)
+        states = schrodinger_fixed_step(constant_model(h), psi0, grid, 1)
+        expected = np.stack([linalg.expm_unitary(h, t) @ psi0 for t in grid.samples])
+        np.testing.assert_allclose(states, expected, rtol=0, atol=1e-13)
+
+
+class TestPassMemory:
+    def test_one_pass_holds_one_chunk_and_one_pade_block(self, rng, monkeypatch):
+        # one usable CPU: the exponential's blocks run inline, one at a time
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        dim, substeps = 8, 2
+        model = fourier_nlevel(dim, [FourierTerm(random_hermitian(rng, dim), omega, 1.0, 0.1)
+                                     for omega in (0.0, 1.0, 2.0)])
+        psi0 = np.eye(dim, dtype=complex)[0]
+        taus = np.linspace(0.0, 10.0, 4097)
+        tracemalloc.start()
+        try:
+            states = evolve._propagate_fixed(model.sample, psi0, taus, substeps, CF4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = 16 * dim * dim
+        transfers = (taus.size - 1) * matrix_bytes
+        # a chunk's samples and its generator stack (which the exponentials
+        # overwrite), no larger than the pass's 2 x 2 matrices per substep,
+        # plus one Pade block's temporaries: A, A^2, a power, U, V, a product
+        stack = min(evolve._CHUNK_BYTES, (taus.size - 1) * substeps * 2 * matrix_bytes)
+        bound = 2 * stack + 6 * linalg.EXPM_BLOCK * matrix_bytes
+        assert peak - transfers - states.nbytes <= bound
+
+
+class TestValidation:
+    def test_state_of_another_dimension(self):
+        grid = TimeGrid.uniform(0.0, 1.0, 65)
+        with pytest.raises(GridMismatchError, match=r"^state dim 3 != model dim 2$"):
+            evolve_schrodinger(constant_model(SIGMA_Z), np.array([1.0, 0.0, 0.0]), grid)
+
+    def test_coefficients_of_another_dimension(self):
+        frame = build_frame(constant_model(SIGMA_Z), TimeGrid.uniform(0.0, 1.0, 65))
+        with pytest.raises(GridMismatchError, match=r"^coefficient dim 3 != frame dim 2$"):
+            evolve_coefficients(frame, np.array([1.0, 0.0, 0.0], dtype=complex))
+
+    def test_reconstruction_on_another_grid(self):
+        model = constant_model(SIGMA_Z)
+        frame = build_frame(model, TimeGrid.uniform(0.0, 1.0, 65))
+        other = build_frame(model, TimeGrid.uniform(0.0, 2.0, 65))
+        result = evolve_coefficients(other, np.array([1.0, 0.0], dtype=complex))
+        with pytest.raises(GridMismatchError, match=r"^coefficient result lives on a different grid$"):
+            reconstruct_state(frame, result)
 
 
 def coupling_matrix(frame, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import os
 import threading
 import time
@@ -121,6 +122,12 @@ class TestEigh:
         assert np.max(np.abs(resid)) < 1e-10 * max(1.0, np.max(np.abs(h)))
         assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-10
         assert np.all(np.diff(system.values) >= 0)
+
+
+class TestRequireHermitian:
+    def test_rejects_non_square(self):
+        with pytest.raises(NotHermitianError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            linalg.require_hermitian(np.zeros((2, 3)))
 
 
 class TestExpmUnitary:
@@ -383,6 +390,101 @@ class TestForBlocks:
             linalg.eigh_batch(hermitian_stack(rng, n, 3))
         assert linalg._pool is None
         assert set(threads + pade_threads) == {threading.get_ident()}
+
+
+def six_block_stack(rng, n):
+    """The stack of ``test_blocked_exponentials_equal_inline``: six blocks
+    whose max ||A||_1 gives degrees 3, 5, 7 and 13, then 4 and 9 squarings."""
+    block = linalg.EXPM_BLOCK
+    k = 5 * block + 77
+    hs = hermitian_stack(rng, k, n)
+    hs /= np.abs(hs).sum(axis=-2).max(axis=-1)[:, None, None]
+    scales = np.repeat([1e-2, 0.2, 0.9, 5.0, 80.0, 2e3], block)[:k]
+    ts = scales * rng.uniform(-1.0, 1.0, k)
+    ts[::block] = scales[::block]
+    return hs, ts
+
+
+class TestInPlace:
+    """``expm_unitary_batch(hs, ts, out=hs)`` against a fresh result."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_out_may_be_the_stack(self, rng, monkeypatch, n, cpus):
+        usable_cpus(monkeypatch, cpus)
+        hs, ts = six_block_stack(rng, n)
+        expected = linalg.expm_unitary_batch(hs.copy(), ts)
+        assert linalg.expm_unitary_batch(hs, ts, out=hs) is hs
+        assert np.array_equal(hs, expected)
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_out_of_any_layout(self, rng, n):
+        # leading axes that reshape cannot merge without a copy
+        hs = np.ascontiguousarray(hermitian_stack(rng, 6 * 5, n).reshape(6, 5, n, n))
+        ts = rng.uniform(-0.5, 0.5, (5, 6)).T
+        expected = linalg.expm_unitary_batch(hs, ts)
+        out = np.empty((5, 6, n, n), dtype=complex).transpose(1, 0, 2, 3)
+        assert linalg.expm_unitary_batch(hs, ts, out=out) is out
+        assert np.array_equal(out, expected)
+        view = hs.transpose(1, 0, 2, 3)
+        expected = linalg.expm_unitary_batch(view.copy(), ts.T)
+        assert linalg.expm_unitary_batch(view, ts.T, out=view) is view
+        assert np.array_equal(view, expected)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_out_must_fit_the_stack(self, rng, n):
+        hs = hermitian_stack(rng, 4, n)
+        for out in (np.empty((4, n, n)), np.empty((3, n, n), dtype=complex)):
+            with pytest.raises(ValueError, match="out must be a complex array of shape"):
+                linalg.expm_unitary_batch(hs, 0.1, out=out)
+
+
+def reference_pade_unitary(a):
+    """The out-of-place diagonal Pade of the earlier ``_pade_unitary``: a list
+    of powers, sum() for U and V, and solve(V - U, V + U)."""
+    norm = float(np.abs(a).sum(axis=-2).max())
+    squarings = 0
+    for m, theta in linalg._PADE_THETA:
+        if norm <= theta:
+            break
+    else:
+        squarings = math.ceil(math.log2(norm / theta))
+        a = a * 0.5**squarings
+    b = linalg._PADE_COEFFS[m]
+    eye = np.eye(a.shape[-1])
+    powers = [a @ a]
+    for _ in range(m // 2 - 1):
+        powers.append(powers[-1] @ powers[0])
+    odd = b[1] * eye + sum(b[2 * k + 3] * p for k, p in enumerate(powers))
+    even = b[0] * eye + sum(b[2 * k + 2] * p for k, p in enumerate(powers))
+    odd = a @ odd
+    r = np.linalg.solve(even - odd, even + odd)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
+class TestPadeOracle:
+    """The in-place Pade evaluation against the out-of-place one, byte for byte."""
+
+    # each degree, then 4 and 9 squarings, as in six_block_stack
+    NORMS = [1e-2, 0.2, 0.9, 2.0, 5.0, 80.0, 2e3]
+
+    @pytest.mark.parametrize("pattern", ["dense", "tridiagonal"])
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_bytes_equal_the_out_of_place_evaluation(self, rng, n, pattern):
+        for norm in self.NORMS:
+            hs = hermitian_stack(rng, 64, n)
+            if pattern == "tridiagonal":
+                # a selection rule: exact zeros, whose signs the bytes also compare
+                hs *= np.abs(np.subtract.outer(np.arange(n), np.arange(n))) == 1
+            hs /= np.abs(hs).sum(axis=-2).max(axis=-1)[:, None, None]
+            ts = norm * rng.uniform(-1.0, 1.0, 64)
+            ts[:3] = norm, 0.0, -norm
+            a = (-1j * ts)[:, None, None] * (0.5 * (hs + linalg.dagger(hs)))
+            expected = reference_pade_unitary(a.copy()).tobytes()
+            assert linalg._pade_unitary(a.copy()).tobytes() == expected
+            assert linalg.expm_unitary_batch(hs, ts).tobytes() == expected
 
 
 class TestStateHelpers:

@@ -117,15 +117,16 @@ def _compose_intervals(step_us: np.ndarray, out: np.ndarray) -> None:
         matmul_batch(step_us[:, -1], u, out=out)
 
 
-def _factor_generators(hs: np.ndarray, weights: np.ndarray, out: np.ndarray, sub: int) -> None:
+def _factor_generators(hs: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
     """Factor j = sum_k W[j, k] h_k of every substep, as scaled sums of the
     stacked samples (n, s, nodes, N, N) written to ``out`` (n, s, factors, N, N).
 
-    ``sub`` intervals at a time (a 32nd of a chunk), so that the temporaries
-    stay small and in cache; ``weights @ hs`` is one tiny matmul per substep,
-    ~3x slower at N = 2.
+    A 32nd of the intervals at a time, so that the temporaries stay small and
+    in cache; ``weights @ hs`` is one tiny matmul per substep, ~3x slower at
+    N = 2.
     """
-    for r0 in range(0, hs.shape[0], sub):
+    sub = max(1, len(hs) // 32)
+    for r0 in range(0, len(hs), sub):
         h, g = hs[r0 : r0 + sub], out[r0 : r0 + sub]
         for j, row in enumerate(weights):
             np.multiply(h[:, :, 0], row[0], out=g[:, :, j])
@@ -166,7 +167,7 @@ def _interval_transfers(
         points = t0[:, None] + offsets[None, :] * spans[:, None]
         hs = sample_h(points.ravel()).reshape(i1 - i0, substeps, n_nodes, dim, dim)
         generators = stack[: i1 - i0]
-        _factor_generators(hs, rule.weights, generators, max(1, block // 32))
+        _factor_generators(hs, rule.weights, generators)
         # free the samples before the exponentials run their blocks concurrently
         del hs
         generators = generators.reshape(i1 - i0, substeps * n_factors, dim, dim)

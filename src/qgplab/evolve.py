@@ -29,15 +29,19 @@ kept as the reference method (the default of ``schrodinger_fixed_step``).
 Stages of one fixed-substep pass
 --------------------------------
 The grid intervals are taken in chunks whose sample stack is at most
-``_CHUNK_BYTES`` (8 MiB), as equal as whole ``EXPM_BLOCK`` blocks of
-exponentials allow.  Each factor's generator is the scaled sum
-sum_k W[j, k] h(t0 + c_k dt) of the chunk's stacked samples, formed a 32nd
-of the chunk at a time into one generator stack that every chunk of the
-pass reuses.  ``expm_unitary_batch`` writes the exponentials over that
-stack, and the substep exponentials of each grid interval are composed with
+``_CHUNK_BYTES`` (8 MiB).  Where a chunk can hold whole ``EXPM_BLOCK``
+blocks of exponentials, the U such units of the pass are split evenly over
+the n chunks: chunk c starts at unit ceil(c U / n), so the chunks differ by
+at most one unit and the last is never the larger.  A chunk holds one array:
+its stacked samples become its generators, sum_k W[j, k] h(t0 + c_k dt) for
+each factor j, formed a 32nd of the chunk at a time through one small
+temporary; ``expm_unitary_batch`` writes the exponentials over them; and the
+substep exponentials of each grid interval are composed with
 ``linalg.matmul_batch``, the last product straight into the interval's slice
-of the transfers.  So a pass holds its transfers, one chunk's samples and
-generators, and the temporaries of the Pade blocks in flight.
+of the transfers.  The chunk is released before the next one is sampled.  So
+a pass holds its transfers, one chunk, and either the sub-block temporaries
+of the Pade blocks in flight or the composition's running products (two
+stacks of one matrix per interval).
 ``_scan_states`` turns the n transfers into the n + 1 states by a two-level
 blocked scan: blocks of w = ceil(sqrt(n)) transfers, w - 1 batched in-block
 prefix products, a sequential walk over the ceil(n/w) block ends for each
@@ -57,9 +61,11 @@ from .frames import SpectralFrame, TimeGrid, adiabatic_trajectory, pair_series, 
 from .linalg import EXPM_BLOCK, expm_unitary_batch, matmul_batch, require_state
 from .models import HamiltonianModel
 
-#: bytes of each per-chunk stack of step matrices (samples, then generators
-#: overwritten by their exponentials): bounds peak memory for every N;
-#: 2**17 matrices at N = 2, a whole number of ``EXPM_BLOCK`` blocks at N = 8
+#: bytes of each chunk's one stack of step matrices (samples, overwritten by
+#: the generators and then by their exponentials): bounds peak memory for
+#: every N; 2**17 matrices at N = 2, a whole number of ``EXPM_BLOCK`` blocks
+#: at N = 8.  4 MiB chunks lower the peak further but make more pool
+#: barriers per pass: slower in 8 of 10 paired benchmark runs
 _CHUNK_BYTES = 8 << 20
 
 _MIN_STEP = 1e-12
@@ -87,11 +93,19 @@ class StepRule:
 
     ``nodes`` are the sample points c_k as fractions of dt; row j of
     ``weights`` is factor j = exp(-i dt sum_k W[j, k] h(t0 + c_k dt)).
-    Rows are listed in the order the factors are applied.
+    Rows are listed in the order the factors are applied.  There are as many
+    factors as nodes, so a pass forms the generators over the samples.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        k = np.size(self.nodes)
+        if np.shape(self.weights) != (k, k):
+            raise ValueError(
+                f"weights must be {k}x{k} for {k} nodes, got shape {np.shape(self.weights)}"
+            )
 
 
 MIDPOINT = StepRule(nodes=np.array([0.5]), weights=np.array([[1.0]]))
@@ -117,21 +131,24 @@ def _compose_intervals(step_us: np.ndarray, out: np.ndarray) -> None:
         matmul_batch(step_us[:, -1], u, out=out)
 
 
-def _factor_generators(hs: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
+def _factor_generators(hs: np.ndarray, weights: np.ndarray) -> None:
     """Factor j = sum_k W[j, k] h_k of every substep, as scaled sums of the
-    stacked samples (n, s, nodes, N, N) written to ``out`` (n, s, factors, N, N).
+    stacked samples (n, s, nodes, N, N), written over them.
 
-    A 32nd of the intervals at a time, so that the temporaries stay small and
-    in cache; ``weights @ hs`` is one tiny matmul per substep, ~3x slower at
-    N = 2.
+    A 32nd of the intervals at a time through one temporary, so that the
+    temporaries stay small and in cache; ``weights @ hs`` is one tiny matmul
+    per substep, ~3x slower at N = 2.
     """
     sub = max(1, len(hs) // 32)
+    g = np.empty_like(hs[:sub])
     for r0 in range(0, len(hs), sub):
-        h, g = hs[r0 : r0 + sub], out[r0 : r0 + sub]
+        h = hs[r0 : r0 + sub]
+        g = g[: len(h)]
         for j, row in enumerate(weights):
             np.multiply(h[:, :, 0], row[0], out=g[:, :, j])
             for k in range(1, h.shape[2]):
                 g[:, :, j] += row[k] * h[:, :, k]
+        h[...] = g
 
 
 def _interval_transfers(
@@ -139,41 +156,39 @@ def _interval_transfers(
 ) -> np.ndarray:
     """Transfer matrix of every grid interval: ``substeps`` steps of ``rule``."""
     n_int = taus.size - 1
-    n_nodes = rule.nodes.size
-    n_factors = rule.weights.shape[0]
     transfers = np.empty((n_int, dim, dim), dtype=complex)
+    per_interval = substeps * rule.nodes.size
     matrix_bytes = np.dtype(complex).itemsize * dim * dim
-    block = max(1, _CHUNK_BYTES // (matrix_bytes * substeps * max(n_nodes, n_factors)))
+    block = max(1, _CHUNK_BYTES // (matrix_bytes * per_interval))
     # where a chunk can hold ``unit`` intervals, a whole number of
     # ``EXPM_BLOCK`` exponentials, chunks are whole units: each starts on an
     # ``EXPM_BLOCK`` boundary of the pass's stack, so the Pade degrees do not
-    # depend on the chunking.  The chunks are as equal as that allows, since
-    # a short last chunk would run its exponentials as one block on the
+    # depend on the chunking.  Chunk c starts at unit ceil(c U / n), so the
+    # chunks differ by at most one unit and the last is never the larger: a
+    # short last chunk would run its exponentials as one block on the
     # calling thread.
-    unit = EXPM_BLOCK // math.gcd(EXPM_BLOCK, substeps * n_factors)
-    if unit <= block:
-        block -= block % unit
-    else:
+    unit = EXPM_BLOCK // math.gcd(EXPM_BLOCK, per_interval)
+    if unit > block:
         unit = 1
-    n_chunks = -(-n_int // block)
-    block = -(-n_int // (n_chunks * unit)) * unit
-    # one generator stack per pass, reused by every chunk
-    stack = np.empty((min(block, n_int), substeps, n_factors, dim, dim), dtype=complex)
+    n_units = -(-n_int // unit)
+    n_chunks = -(-n_units // (block // unit))
+    bounds = [min(n_int, unit * -(-c * n_units // n_chunks)) for c in range(n_chunks + 1)]
     offsets = ((np.arange(substeps)[:, None] + rule.nodes[None, :]) / substeps).ravel()
-    for i0 in range(0, n_int, block):
-        i1 = min(i0 + block, n_int)
+    for i0, i1 in zip(bounds[:-1], bounds[1:]):
         t0 = taus[i0:i1]
         spans = taus[i0 + 1 : i1 + 1] - t0
         points = t0[:, None] + offsets[None, :] * spans[:, None]
-        hs = sample_h(points.ravel()).reshape(i1 - i0, substeps, n_nodes, dim, dim)
-        generators = stack[: i1 - i0]
-        _factor_generators(hs, rule.weights, generators)
-        # free the samples before the exponentials run their blocks concurrently
+        # the chunk's one array: its samples, overwritten by the generators
+        # and then by their exponentials
+        hs = np.require(sample_h(points.ravel()), dtype=complex, requirements="CW")
+        hs = hs.reshape(i1 - i0, substeps, rule.nodes.size, dim, dim)
+        _factor_generators(hs, rule.weights)
+        hs = hs.reshape(i1 - i0, -1, dim, dim)
+        dts = np.broadcast_to((spans / substeps)[:, None], hs.shape[:2])
+        expm_unitary_batch(hs, dts, out=hs)
+        _compose_intervals(hs, transfers[i0:i1])
+        # release the chunk before the next one is sampled
         del hs
-        generators = generators.reshape(i1 - i0, substeps * n_factors, dim, dim)
-        dts = np.broadcast_to((spans / substeps)[:, None], generators.shape[:2])
-        expm_unitary_batch(generators, dts, out=generators)
-        _compose_intervals(generators, transfers[i0:i1])
     return transfers
 
 

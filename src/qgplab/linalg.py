@@ -20,8 +20,13 @@ smallest whose theta_m (Higham 2005, Table 2.3: backward error below
 by 2^s and the result squared s times.  The single-matrix ``expm_unitary``
 keeps the spectral route and serves as the oracle of the batched one.
 ``expm_unitary_batch`` takes a numpy-style ``out``, which may be the
-generator stack itself; each block then holds only its own temporaries,
-as U and V are summed in place and Q = V - U overwrites the block's A.
+generator stack itself.  Each block of ``EXPM_BLOCK`` matrices forms its A
+in its own slice of ``out`` and picks its degree and squarings from the
+whole block; the approximant is then evaluated in sub-blocks of 256
+matrices, each written over its A, so a block's temporaries are a few
+sub-blocks: U and V are summed in place and Q = V - U overwrites the
+sub-block's A.  The Pauli form also runs block by block, on the calling
+thread, so its elementwise temporaries are one block's worth.
 
 ``matmul_batch`` multiplies stacks of matrices.  ``np.matmul`` pays a fixed
 cost per 2x2 product in a stack (~0.4 us), so for N = 2 it forms the four
@@ -69,6 +74,8 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 #: matrices per block of the batched kernels (bounds their temporaries and
 #: fixes where the N > 2 exponential picks its Pade degree)
 EXPM_BLOCK = 1024
+#: matrices per sub-block of the N > 2 Pade evaluation (bounds its temporaries)
+_PADE_SUB_BLOCK = 256
 
 #: the pool of ``for_blocks``, created on first use
 _pool = None
@@ -232,17 +239,21 @@ def expm_unitary_batch(
 ) -> np.ndarray:
     """Batched exp(-i H_k t_k) for a stack (..., N, N) of Hermitian matrices.
 
-    N = 2 takes the closed Pauli form.  N > 2 takes scaling-and-squaring
-    diagonal Pade on blocks of ``EXPM_BLOCK`` matrices (see the module
-    docstring): unitary by construction, a few matmuls and one batched
-    ``solve`` per block, with the degree and the squarings picked from the
-    largest ||H_k t_k||_1 of the block.  On 16,380 random 8x8 generators at
-    the evolution step scale (||H t||_2 <= 0.028) it is 2.3e-15 from the
-    spectral route with unitarity defect 1.1e-15 (spectral route: 4.4e-15);
-    at ||A||_1 = 1e3 (8 squarings) the defect stays <= 1e-13 for N <= 16.
+    Both routes work on blocks of ``EXPM_BLOCK`` matrices of the flattened
+    stack.  N = 2 takes the closed Pauli form, block by block on the calling
+    thread.  N > 2 takes scaling-and-squaring diagonal Pade on the pool (see
+    the module docstring): unitary by construction, a few matmuls and one
+    batched ``solve`` per sub-block of ``_PADE_SUB_BLOCK`` matrices, with the
+    degree and the squarings picked from the largest ||H_k t_k||_1 of the
+    block.  Each block forms its A = -i H t in its own slice of ``out``, a
+    sub-block at a time, and the approximant overwrites A.  On 16,380 random
+    8x8 generators at the evolution step scale (||H t||_2 <= 0.028) it is
+    2.3e-15 from the spectral route with unitarity defect 1.1e-15 (spectral
+    route: 4.4e-15); at ||A||_1 = 1e3 (8 squarings) the defect stays
+    <= 1e-13 for N <= 16.
 
     The result is written to ``out`` when given, a complex array of the
-    shape of ``hs``, which may be ``hs`` itself: each block reads its
+    shape of ``hs``, which may be ``hs`` itself: each sub-block reads its
     matrices before it writes them.  The bytes do not depend on ``out``.
     """
     hs = np.asarray(hs, dtype=complex)
@@ -251,31 +262,41 @@ def expm_unitary_batch(
         out = np.empty(hs.shape, dtype=complex)
     elif out.shape != hs.shape or out.dtype != complex:
         raise ValueError(f"out must be a complex array of shape {hs.shape}")
-    if hs.shape[-1] == 2:
-        return _expm_pauli_batch(hs, ts, out)
     dim = hs.shape[-1]
     flat_hs = hs.reshape(-1, dim, dim)
     flat_ts = ts.reshape(-1)
     flat_out = out.reshape(-1, dim, dim)
+    n = flat_hs.shape[0]
+    if dim == 2:
+        # inline: each block is a run of small ufunc calls that hold the lock
+        for k0 in range(0, n, EXPM_BLOCK):
+            k1 = min(k0 + EXPM_BLOCK, n)
+            _expm_pauli_batch(flat_hs[k0:k1], flat_ts[k0:k1], flat_out[k0:k1])
+    else:
 
-    def block(k0, k1):
-        h = flat_hs[k0:k1]
-        a = h + dagger(h)
-        a *= (-0.5j * flat_ts[k0:k1])[:, None, None]
-        flat_out[k0:k1] = _pade_unitary(a)
+        def block(k0, k1):
+            for j0 in range(k0, k1, _PADE_SUB_BLOCK):
+                j1 = min(j0 + _PADE_SUB_BLOCK, k1)
+                h, a = flat_hs[j0:j1], flat_out[j0:j1]
+                np.add(h, dagger(h), out=a)
+                a *= (-0.5j * flat_ts[j0:j1])[:, None, None]
+            _pade_unitary(flat_out[k0:k1])
 
-    for_blocks(block, flat_hs.shape[0], EXPM_BLOCK)
+        for_blocks(block, n, EXPM_BLOCK)
     if not np.may_share_memory(flat_out, out):  # out's leading axes did not flatten
         out[...] = flat_out.reshape(out.shape)
     return out
 
 
 def _pade_unitary(a: np.ndarray) -> np.ndarray:
-    """exp(a) for a block of skew-Hermitian matrices by diagonal Pade.
+    """exp(a) for a block of skew-Hermitian matrices by diagonal Pade,
+    written over ``a``, which is returned.
 
-    Overwrites ``a``.  The even powers are summed into U and V as they are
-    formed, and b_1 I and b_0 I are added last, so every entry is rounded
-    as in b_1 I + sum_k b_{2k+3} A^{2k+2} and its even counterpart.
+    The degree and the squarings come from the largest ||A||_1 of the whole
+    block; the approximant is then evaluated ``_PADE_SUB_BLOCK`` matrices at
+    a time.  The even powers are summed into U and V as they are formed,
+    and b_1 I and b_0 I are added last, so every entry is rounded as in
+    b_1 I + sum_k b_{2k+3} A^{2k+2} and its even counterpart.
     """
     norm = float(np.abs(a).sum(axis=-2).max())
     if not math.isfinite(norm):
@@ -288,25 +309,29 @@ def _pade_unitary(a: np.ndarray) -> np.ndarray:
         squarings = math.ceil(math.log2(norm / theta))
         a *= 0.5**squarings
     b = _PADE_COEFFS[m]
-    square = a @ a
-    odd, even = b[3] * square, b[2] * square
-    power = square
-    for k in range(1, m // 2):
-        power = power @ square
-        odd += b[2 * k + 3] * power
-        even += b[2 * k + 2] * power
-    del square, power
     n = a.shape[-1]
-    odd.reshape(len(odd), n * n)[:, :: n + 1] += b[1]
-    even.reshape(len(even), n * n)[:, :: n + 1] += b[0]
-    odd = a @ odd
-    np.subtract(even, odd, out=a)
-    even += odd
-    del odd
-    r = np.linalg.solve(a, even)
-    for _ in range(squarings):
-        r = r @ r
-    return r
+    for j0 in range(0, len(a), _PADE_SUB_BLOCK):
+        sub = a[j0 : j0 + _PADE_SUB_BLOCK]
+        square = sub @ sub
+        odd, even = b[3] * square, b[2] * square
+        power = square
+        for k in range(1, m // 2):
+            power = power @ square
+            odd += b[2 * k + 3] * power
+            even += b[2 * k + 2] * power
+        del square, power
+        odd.reshape(len(odd), n * n)[:, :: n + 1] += b[1]
+        even.reshape(len(even), n * n)[:, :: n + 1] += b[0]
+        odd = sub @ odd
+        np.subtract(even, odd, out=sub)
+        even += odd
+        del odd
+        r = np.linalg.solve(sub, even)
+        del even
+        for _ in range(squarings):
+            r = r @ r
+        sub[...] = r
+    return a
 
 
 def matmul_batch(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -326,9 +351,10 @@ def matmul_batch(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) ->
     return out
 
 
-def _expm_pauli_batch(hs: np.ndarray, ts: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """exp(-i(a*I + b.sigma)t) = e^{-iat}(cos|b|t I - i sin|b|t bhat.sigma),
-    written to ``out``; a, b are copied out of ``hs`` first, so ``out`` may be ``hs``."""
+def _expm_pauli_batch(hs: np.ndarray, ts: np.ndarray, out: np.ndarray) -> None:
+    """exp(-i(a*I + b.sigma)t) = e^{-iat}(cos|b|t I - i sin|b|t bhat.sigma)
+    for a block (K, 2, 2), written to ``out``; a, b are copied out of ``hs``
+    first, so ``out`` may be ``hs``."""
     a = 0.5 * (hs[..., 0, 0] + hs[..., 1, 1]).real
     bz = 0.5 * (hs[..., 0, 0] - hs[..., 1, 1]).real
     bx = hs[..., 0, 1].real.copy()
@@ -343,4 +369,3 @@ def _expm_pauli_batch(hs: np.ndarray, ts: np.ndarray, out: np.ndarray) -> np.nda
     out[..., 1, 1] = phase * (cos_a + 1j * sin_over * bz)
     out[..., 0, 1] = phase * (-1j * sin_over * (bx - 1j * by))
     out[..., 1, 0] = phase * (-1j * sin_over * (bx + 1j * by))
-    return out

@@ -1,3 +1,4 @@
+import math
 import os
 import tracemalloc
 
@@ -236,6 +237,7 @@ class TestAlignedChunks:
 
         psi0 = np.eye(8, dtype=complex)[0]
         taus = np.linspace(0.0, 1.0, 2100)
+        monkeypatch.setattr(evolve, "_CHUNK_BYTES", 8 << 20)
         chunked = evolve._propagate_fixed(sample_h, psi0, taus, 2, evolve.CF4)
         # 2,099 intervals x 4 samples: 8 MiB holds 2,048 intervals, so two
         # chunks, 1,280 and 819 intervals, the first 5 blocks of 1,024 matrices
@@ -244,6 +246,32 @@ class TestAlignedChunks:
         monkeypatch.setattr(evolve, "_CHUNK_BYTES", 1 << 40)
         whole = evolve._propagate_fixed(sample_h, psi0, taus, 2, evolve.CF4)
         assert returned == [4 * 2099]
+        assert np.array_equal(chunked, whole)
+
+
+class TestEvenChunks:
+    def test_units_are_split_evenly_and_equal_one_chunk(self, rng, monkeypatch):
+        a, b = random_hermitian(rng, 8), random_hermitian(rng, 8)
+        returned = []
+
+        def sample_h(ts):
+            returned.append(ts.size)
+            return a + ts[:, None, None] * b
+
+        psi0 = np.eye(8, dtype=complex)[0]
+        taus = np.linspace(0.0, 1.0, 2100)
+        monkeypatch.setattr(evolve, "_CHUNK_BYTES", 4 << 20)
+        chunked = evolve._propagate_fixed(sample_h, psi0, taus, 4, evolve.CF4)
+        # 2,099 intervals x 8 samples: a unit of 1,024 matrices is 128
+        # intervals, so 17 units, the last one short; 4 MiB holds 4 units, so
+        # 5 chunks, starting at units ceil(17 c / 5) = 0, 4, 7, 11 and 14,
+        # where chunks of 4 units would leave a last chunk of 51 intervals
+        assert returned == [8 * 512, 8 * 384, 8 * 512, 8 * 384, 8 * 307]
+        assert {math.ceil(size / (8 * 128)) for size in returned} == {3, 4}
+        returned.clear()
+        monkeypatch.setattr(evolve, "_CHUNK_BYTES", 1 << 40)
+        whole = evolve._propagate_fixed(sample_h, psi0, taus, 4, evolve.CF4)
+        assert returned == [8 * 2099]
         assert np.array_equal(chunked, whole)
 
 
@@ -281,6 +309,60 @@ class TestPassMemory:
         stack = min(evolve._CHUNK_BYTES, (taus.size - 1) * substeps * 2 * matrix_bytes)
         bound = 2 * stack + 6 * linalg.EXPM_BLOCK * matrix_bytes
         assert peak - transfers - states.nbytes <= bound
+
+
+class TestChunkMemory:
+    """A pass holds, beside its transfers and states, one chunk, the 32nd of
+    one that the generators are formed through, and one Pade block's
+    temporaries: its norm, and eight arrays of one sub-block.
+
+    The chunks are 4 MiB here.  At 8 MiB and 2 substeps the composition's
+    two running products (a quarter chunk each) outgrow the Pade term.
+    """
+
+    CHUNK = 4 << 20
+
+    @staticmethod
+    def pass_peak(model, taus, substeps):
+        psi0 = np.eye(model.dim, dtype=complex)[0]
+        tracemalloc.start()
+        try:
+            states = evolve._propagate_fixed(model.sample, psi0, taus, substeps, CF4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - (taus.size - 1) * 16 * model.dim**2 - states.nbytes
+
+    def bound(self, dim):
+        matrix_bytes = 16 * dim * dim
+        return (self.CHUNK + self.CHUNK // 32 + 8 * linalg._PADE_SUB_BLOCK * matrix_bytes
+                + linalg.EXPM_BLOCK * matrix_bytes)
+
+    def test_dense_pass_holds_one_array_per_chunk(self, rng, monkeypatch):
+        # the model, grid and single CPU of TestPassMemory: a 16 MiB sample
+        # stack over the pass, so four chunks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(evolve, "_CHUNK_BYTES", self.CHUNK)
+        dim = 8
+        model = fourier_nlevel(dim, [FourierTerm(random_hermitian(rng, dim), omega, 1.0, 0.1)
+                                     for omega in (0.0, 1.0, 2.0)])
+        peak = self.pass_peak(model, np.linspace(0.0, 10.0, 4097), 2)
+        assert peak <= self.bound(dim)
+
+    def test_pauli_pass_holds_one_array_per_chunk(self, monkeypatch):
+        # 4,096 intervals x 4 substeps x 2 nodes: a 2 MiB sample stack, one
+        # chunk, whose unused bytes hold the model's sampling temporaries
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(evolve, "_CHUNK_BYTES", self.CHUNK)
+        model = rotating_spin(RotatingSpinParams(eta=1.0, xi=0.5, K=1.0))
+        peak = self.pass_peak(model, np.linspace(0.0, 2.0 * np.pi, 4097), 4)
+        assert peak <= self.bound(2)
+
+
+class TestStepRule:
+    def test_needs_one_factor_per_node(self):
+        with pytest.raises(ValueError, match=r"^weights must be 2x2 for 2 nodes, got shape \(1, 2\)$"):
+            evolve.StepRule(nodes=np.array([0.25, 0.75]), weights=np.array([[0.5, 0.5]]))
 
 
 class TestValidation:

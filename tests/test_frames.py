@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import os
 
@@ -8,6 +9,7 @@ from scipy.optimize import linear_sum_assignment as scipy_linear_sum_assignment
 from qgplab import evolve, frames, models, qgp
 from qgplab.errors import (
     GapClosureError,
+    OutOfRangeError,
     TrackingAmbiguityError,
     UndefinedArgError,
 )
@@ -67,6 +69,15 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0]))
 
+    def test_uniform_rejects_fewer_than_two_samples(self):
+        with pytest.raises(ValueError, match="^need at least two samples$"):
+            TimeGrid.uniform(0.0, 1.0, 1)
+
+    @pytest.mark.parametrize("tau_end", [0.0, -1.0])
+    def test_uniform_rejects_an_empty_span(self, tau_end):
+        with pytest.raises(ValueError, match="^tau_end must exceed tau_start$"):
+            TimeGrid.uniform(0.0, tau_end, 5)
+
 
 class TestBuildFrame:
     def test_constant_hamiltonian(self, grid):
@@ -94,6 +105,39 @@ class TestBuildFrame:
         )
         expected = -2.0 * np.sin(theta0 / 2.0) ** 2  # -phi_dot sin^2(theta/2)
         np.testing.assert_allclose(frame.gamma[:, 1, 1].real, expected, atol=1e-13)
+
+    def test_auto_takes_finite_differences_without_a_derivative(self):
+        # the 4th-order stencils at h = 2 pi / 2048 ~ 3e-3 err by about
+        # h^4 ~ 1e-10 times the eigenvectors' 5th derivative; 1e-7 leaves a
+        # factor 1e3 for that at a gap of 1.5 and a unit drive frequency
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        model = models.fourier_nlevel(3, [
+            models.FourierTerm(np.diag([0.0, 2.0, 4.0]).astype(complex), 0.0, 1.0, 0.0),
+            models.FourierTerm(0.5 * (a + a.conj().T), 1.0, 0.3, 0.2),
+        ])
+        grid = TimeGrid.uniform(0.0, 2.0 * np.pi, 2049)
+        bare = dataclasses.replace(model, derivative_batch=None)
+        numeric = build_frame(bare, grid)
+        assert numeric.gamma_mode == "finite_difference"
+        analytic = build_frame(model, grid, gamma_mode="analytic_derivative")
+        off = ~np.eye(3, dtype=bool)
+        np.testing.assert_allclose(
+            np.abs(numeric.gamma[:, off]), np.abs(analytic.gamma[:, off]), rtol=0, atol=1e-7
+        )
+
+    @pytest.mark.parametrize("mode, message", [
+        ("exact", "^unknown gamma_mode 'exact'$"),
+        ("analytic_frame", "^model 'const' has no analytic frame$"),
+        ("analytic_derivative", "^model 'const' has no analytic derivative$"),
+    ])
+    def test_rejects_a_gamma_mode_the_model_cannot_take(self, mode, message):
+        model = models.HamiltonianModel(
+            dim=2, evaluate_batch=lambda taus: np.broadcast_to(SIGMA_Z, (taus.size, 2, 2)).copy(),
+            label="const",
+        )
+        with pytest.raises(ValueError, match=message):
+            build_frame(model, TimeGrid.uniform(0.0, 1.0, 65), gamma_mode=mode)
 
     def test_gamma_hermitian_symmetry_and_real_diagonal(self, rot_model, grid):
         for mode in ("analytic_derivative", "finite_difference"):
@@ -172,6 +216,17 @@ class TestGammaAt:
 
 
 class TestTheta:
+    def test_rejects_equal_levels(self, rot_model, grid):
+        frame = build_frame(rot_model, grid, gamma_mode="analytic_frame")
+        with pytest.raises(ValueError, match=r"^theta_mn needs m != n$"):
+            theta_series(frame, 1, 1)
+
+    @pytest.mark.parametrize("m, n, level", [(2, 0, 2), (0, -1, -1)])
+    def test_rejects_a_level_out_of_range(self, rot_model, grid, m, n, level):
+        frame = build_frame(rot_model, grid, gamma_mode="analytic_frame")
+        with pytest.raises(OutOfRangeError, match=rf"^level {level} outside 0\.\.1$"):
+            theta_series(frame, m, n)
+
     def test_at_zero_is_arg_gamma(self, rot_model, grid):
         frame = build_frame(rot_model, grid, gamma_mode="analytic_frame")
         expected = np.angle(frame.gamma[0, 1, 0])
@@ -260,6 +315,11 @@ class TestAdiabaticTrajectory:
 
 
 class TestRegauge:
+    def test_rejects_a_wrong_count_of_functions(self, rot_model, grid):
+        frame = build_frame(rot_model, grid, gamma_mode="analytic_frame")
+        with pytest.raises(ValueError, match="^need 2 gauge functions, got 3$"):
+            regauge(frame, [SmoothScalar.constant(0.0)] * 3)
+
     def test_rejects_nonzero_anchor(self, rot_model, grid):
         frame = build_frame(rot_model, grid, gamma_mode="analytic_frame")
         with pytest.raises(ValueError):

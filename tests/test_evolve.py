@@ -311,6 +311,21 @@ class TestPassMemory:
         assert peak - transfers - states.nbytes <= bound
 
 
+class TestSampleStacks:
+    def test_read_only_real_samples_are_copied_before_they_are_overwritten(self):
+        # a pass writes its generators over the sampled stack
+        h = np.diag([0.0, 1.0, 3.0])
+        h[0, 2] = h[2, 0] = 0.5
+        shared = np.broadcast_to(h, (4096, 3, 3))
+        model = models.HamiltonianModel(dim=3, evaluate_batch=lambda taus: shared[: taus.size])
+        psi0 = np.eye(3, dtype=complex)[0]
+        grid = TimeGrid.uniform(0.0, 2.0, 65)
+        states = schrodinger_fixed_step(model, psi0, grid, 2, rule=CF4)
+        expected = schrodinger_fixed_step(constant_model(h), psi0, grid, 2, rule=CF4)
+        assert np.array_equal(states, expected)
+        assert np.array_equal(shared[0], h)
+
+
 class TestChunkMemory:
     """A pass holds, beside its transfers and states, one chunk, the 32nd of
     one that the generators are formed through, and one Pade block's

@@ -249,7 +249,8 @@ def pi_bound(pi: PiMatrix) -> PiBoundReport:
     spacing), the pairing is ill-defined and MatchingAmbiguity is raised
     carrying the margins of both candidate orderings.
     """
-    etas = eigh(pi.matrix()).values
+    system = eigh(pi.matrix())
+    etas = system.values
     order = np.argsort(pi.omegas, kind="stable")
     bounds = pi.level_bounds()
     radii = np.maximum(bounds, np.sum(pi.couplings, axis=0))
@@ -263,8 +264,7 @@ def pi_bound(pi: PiMatrix) -> PiBoundReport:
     shifts[order] = etas - sorted_omegas
     margins = bounds - np.abs(shifts)
     if ambiguous:
-        vectors = eigh(pi.matrix()).vectors
-        overlap_match = np.argmax(np.abs(vectors), axis=0)
+        overlap_match = np.argmax(np.abs(system.vectors), axis=0)
         alt = np.full(pi.dim, np.nan)
         if np.unique(overlap_match).size == pi.dim:
             alt_shifts = np.empty(pi.dim)

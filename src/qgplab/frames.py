@@ -29,20 +29,22 @@ gamma comes from one of three routes, recorded in ``gamma_mode``:
   diagonals from finite differences of the gauge-fixed vectors;
 * ``finite_difference``   - 4th-order differences of the vectors throughout.
 
-``pair_series(frame, m, n)`` derives all per-pair data once: |gamma_nm|,
-arg gamma_nm unwrapped per coupled run with its ``unwrap_flags`` (counted on
-every gamma route), and Delta_mn.  |gamma_nm| > ``COUPLING_FLOOR`` (1e-12) is
-the one vanishing-coupling rule; it makes a pair uncoupled (no coupled
-sample), partial or coupled (every sample).  ``qgp.qgp`` raises on uncoupled
-pairs, ``theta_series`` on all but coupled ones, ``evolve_coefficients`` on
-partial ones (it skips uncoupled ones), and ``condition_report`` on an
-uncoupled pair while another coupling out of the level persists.
+``pair_series(frame, m, n)`` alone checks a level pair (OutOfRange, or
+ValueError for m == n) and derives all per-pair data once: |gamma_nm|, arg
+gamma_nm unwrapped per coupled run with its ``unwrap_flags`` (counted on
+every gamma route), and Delta_mn, valid where it is not NaN.  |gamma_nm| >
+``COUPLING_FLOOR`` (1e-12) is the one vanishing-coupling rule; it makes a
+pair uncoupled (no coupled sample), partial or coupled (every sample).
+``qgp.qgp`` raises on uncoupled pairs, ``theta_series`` on all but coupled
+ones, ``evolve_coefficients`` on partial ones (it skips uncoupled ones), and
+``condition_report`` on an uncoupled pair while another coupling out of the
+level persists.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import KW_ONLY, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -294,16 +296,21 @@ class QgpSeries:
     closed form, on one-sample runs.
     """
 
-    grid: TimeGrid
     pair: tuple[int, int]
     delta: np.ndarray
     gamma_abs: np.ndarray
-    ratio: np.ndarray
-    valid: np.ndarray
-    unwrap_flags: int = 0
-    _: KW_ONLY
     coupled: np.ndarray
     arg: np.ndarray
+    unwrap_flags: int
+
+    @property
+    def valid(self) -> np.ndarray:
+        return ~np.isnan(self.delta)
+
+    @property
+    def ratio(self) -> np.ndarray:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return self.delta / (2.0 * self.gamma_abs)
 
     @property
     def coupling(self) -> str:
@@ -317,11 +324,14 @@ class QgpSeries:
 
 
 def pair_series(frame: SpectralFrame, m: int, n: int) -> QgpSeries:
-    """Every per-pair quantity of the ordered pair (m, n), derived once.
+    """Every per-pair quantity of the ordered pair (m, n), checked and derived once.
 
     Delta_mn is the frame's closed form if it has one, else gamma_mm - gamma_nn
     plus the 4th-order stencil of the unwrapped arg gamma_nm on each coupled run.
     """
+    _require_levels(frame, m, n)
+    if m == n:
+        raise ValueError(f"pair ({m}, {n}) needs two different levels")
     taus = frame.grid.samples
     coupling = frame.gamma[:, n, m]
     gamma_abs = np.abs(coupling)
@@ -341,12 +351,7 @@ def pair_series(frame: SpectralFrame, m: int, n: int) -> QgpSeries:
         if not analytic and stop - start > 1:
             darg = numerics.derivative_series(run_arg, taus[start:stop])
             delta[start:stop] = diag[start:stop] + darg
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = delta / (2.0 * gamma_abs)
-    valid = coupled if analytic else coupled & ~np.isnan(delta)
-    return QgpSeries(
-        frame.grid, (m, n), delta, gamma_abs, ratio, valid, flags, coupled=coupled, arg=arg
-    )
+    return QgpSeries((m, n), delta, gamma_abs, coupled, arg, flags)
 
 
 def theta_series(frame: SpectralFrame, m: int, n: int) -> tuple[np.ndarray, int]:
@@ -355,9 +360,6 @@ def theta_series(frame: SpectralFrame, m: int, n: int) -> tuple[np.ndarray, int]
     theta_mn(tau) = int_0^tau (e_m - e_n + gamma_nn - gamma_mm) dlambda
                     + arg gamma_mn(tau), unwrapped continuously from tau=0.
     """
-    _require_levels(frame, m, n)
-    if m == n:
-        raise ValueError("theta_mn needs m != n")
     series = pair_series(frame, n, m)  # its arg is arg gamma_mn
     if series.coupling != "coupled":
         raise UndefinedArgError(f"|gamma_{m}{n}| fell below {COUPLING_FLOOR:g}; arg undefined")

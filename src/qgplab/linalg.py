@@ -19,11 +19,11 @@ smallest whose theta_m (Higham 2005, Table 2.3: backward error below
 2^-53) bounds the largest ||A||_1 of a block; above theta_13, A is divided
 by 2^s and the result squared s times.  The single-matrix ``expm_unitary``
 keeps the spectral route and serves as the oracle of the batched one.
-``expm_unitary_batch`` takes a numpy-style ``out``, which may be the
-generator stack itself.  Each block of ``EXPM_BLOCK`` matrices forms its A
-in its own slice of ``out`` and picks its degree and squarings from the
-whole block; the approximant is then evaluated in sub-blocks of 256
-matrices, each written over its A, so a block's temporaries are a few
+``expm_unitary_batch`` writes into an ``out`` that flattens without a copy,
+such as the generator stack itself.  Each block of ``EXPM_BLOCK`` matrices
+forms its A in its own slice of ``out`` and picks its degree and squarings
+from the whole block; the approximant is then evaluated in sub-blocks of
+256 matrices, each written over its A, so a block's temporaries are a few
 sub-blocks: U and V are summed in place and Q = V - U overwrites the
 sub-block's A.  The Pauli form also runs block by block, on the calling
 thread, so its elementwise temporaries are one block's worth.
@@ -170,7 +170,7 @@ def eigh(h: np.ndarray) -> EigenSystem:
     h = require_hermitian(h)
     try:
         values, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+    except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
     return EigenSystem(values=values, vectors=vectors)
 
@@ -252,9 +252,9 @@ def expm_unitary_batch(
     route: 4.4e-15); at ||A||_1 = 1e3 (8 squarings) the defect stays
     <= 1e-13 for N <= 16.
 
-    The result is written to ``out`` when given, a complex array of the
-    shape of ``hs``, which may be ``hs`` itself: each sub-block reads its
-    matrices before it writes them.  The bytes do not depend on ``out``.
+    The result is written to ``out`` when given (the same bytes), a complex
+    array of the shape of ``hs`` that flattens without a copy, such as ``hs``
+    itself: each sub-block reads its matrices before it writes them.
     """
     hs = np.asarray(hs, dtype=complex)
     ts = np.broadcast_to(np.asarray(ts, dtype=float), hs.shape[:-2])
@@ -266,6 +266,8 @@ def expm_unitary_batch(
     flat_hs = hs.reshape(-1, dim, dim)
     flat_ts = ts.reshape(-1)
     flat_out = out.reshape(-1, dim, dim)
+    if out.size and not np.may_share_memory(flat_out, out):
+        raise ValueError("out's leading axes must flatten without a copy")
     n = flat_hs.shape[0]
     if dim == 2:
         # inline: each block is a run of small ufunc calls that hold the lock
@@ -283,8 +285,6 @@ def expm_unitary_batch(
             _pade_unitary(flat_out[k0:k1])
 
         for_blocks(block, n, EXPM_BLOCK)
-    if not np.may_share_memory(flat_out, out):  # out's leading axes did not flatten
-        out[...] = flat_out.reshape(out.shape)
     return out
 
 

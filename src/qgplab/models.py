@@ -589,7 +589,7 @@ def fourier_nlevel(dim: int, terms: list[FourierTerm]) -> HamiltonianModel:
 
 
 def constant_model(h: np.ndarray, label: str = "constant") -> HamiltonianModel:
-    """Time-independent Hamiltonian as a model (handy for tests and the CLI)."""
+    """Time-independent Hamiltonian as a model: gamma and Delta vanish (a test oracle)."""
     h = linalg.require_hermitian(np.asarray(h, dtype=complex))
     dim = h.shape[0]
 

@@ -10,14 +10,15 @@ Bloch-sphere curve with arclength ds = 2|gamma_mn| dtau; over closed loops
 the integral of Delta_mn is the difference of the two Berry phases up to an
 integer number of 2 pi windings of the coupling.
 
-``qgp`` is ``frames.pair_series``, which owns the per-pair data, plus an
-UndefinedArgError when |gamma_nm| <= 1e-12 on the whole grid (an uncoupled
-pair); the Berry-phase check takes its winding from the stage's arg.
+``qgp`` is ``frames.pair_series``, which checks the pair and owns its
+data, plus an UndefinedArgError when |gamma_nm| <= 1e-12 on the whole grid
+(an uncoupled pair); the Berry-phase check takes its winding from the
+stage's arg.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .frames import (
     QgpSeries,
     SpectralFrame,
     TimeGrid,
+    _pairwise_min_gap,
     build_frame,
     pair_series,
 )
@@ -50,8 +52,6 @@ _SPEED_FLOOR = 1e-10
 def qgp(frame: SpectralFrame, m: int, n: int) -> QgpSeries:
     """Quantum geometric potential Delta_mn on the frame grid: ``frames.pair_series``
     of (m, n), raising UndefinedArg when gamma_nm vanishes on the whole grid."""
-    if m == n:
-        raise ValueError("QGP needs m != n")
     series = pair_series(frame, m, n)
     if series.coupling == "uncoupled":
         raise UndefinedArgError(f"gamma_{n}{m} vanishes on the whole grid")
@@ -283,10 +283,10 @@ def reparametrize_flat(
         )
     if b < a:
         raise ValueError("interval must be ordered")
+    if model.dim != 2:
+        raise ValueError("flat reparametrization is defined for 2-level models")
     grid = TimeGrid.uniform(a, b, samples)
     frame = build_frame(model, grid)
-    if frame.dim != 2:
-        raise ValueError("flat reparametrization is defined for 2-level models")
     series = qgp(frame, 1, 0)
     series.require_valid()
     comb = frame.energies[:, 0] - frame.energies[:, 1] + series.delta
@@ -300,20 +300,17 @@ def reparametrize_flat(
     tau_prime = a + scale * cum
     stretch = 1.0 / (scale * speed)  # dtau/dtau' at the samples
 
-    new_frame = SpectralFrame(
+    energies = frame.energies * stretch[:, None]
+    delta = frame.delta_analytic
+    new_frame = replace(
+        frame,
         grid=TimeGrid(tau_prime),
-        energies=frame.energies * stretch[:, None],
-        vectors=frame.vectors,
+        energies=energies,
         gamma=frame.gamma * stretch[:, None, None],
-        min_gap=float(np.min(np.abs(np.diff(frame.energies * stretch[:, None], axis=1)))),
+        min_gap=_pairwise_min_gap(energies),
         gamma_mode=frame.gamma_mode + "+flat",
         model=None,
-        delta_analytic=(
-            frame.delta_analytic * stretch[:, None, None]
-            if frame.delta_analytic is not None
-            else None
-        ),
-        min_overlap=frame.min_overlap,
+        delta_analytic=None if delta is None else delta * stretch[:, None, None],
     )
     return FlatReparamResult(
         tau=grid.samples,

@@ -14,12 +14,15 @@ from qgplab.conditions import (
     rrcp_check,
 )
 from qgplab.errors import (
+    GapClosureError,
     InvalidParamsError,
     InvariantViolationError,
     MatchingAmbiguityError,
     NotAntisymmetricError,
     UndefinedArgError,
 )
+from dataclasses import replace
+
 from conftest import random_hermitian
 from qgplab.frames import TimeGrid, build_frame, regauge
 from qgplab.linalg import SIGMA_Z, EigenSystem, expm_unitary
@@ -100,6 +103,16 @@ class TestFrameCriteria:
         frame = rotating_frame(RotatingSpinParams(eta=1.0, xi=0.5, K=1.0))
         with pytest.raises(InvalidParamsError):
             condition_report(frame, 1, delta_threshold=1.5)
+
+    def test_rejects_unknown_pairing(self):
+        frame = rotating_frame(RotatingSpinParams(eta=1.0, xi=0.5, K=1.0), n=65)
+        with pytest.raises(InvalidParamsError, match="^unknown pairing 'loose'$"):
+            condition_report(frame, 1, pairing="loose")
+
+    def test_rejects_a_closed_gap(self):
+        frame = rotating_frame(RotatingSpinParams(eta=1.0, xi=0.5, K=1.0), n=65)
+        with pytest.raises(GapClosureError, match="^frame has a closed gap$"):
+            condition_report(replace(frame, min_gap=0.0), 1)
 
 
 def separated_fourier(rng, dim):
@@ -211,6 +224,10 @@ class TestRrcp:
         with pytest.raises(NotAntisymmetricError):
             rrcp_check(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="^theta_dots must be a square matrix$"):
+            rrcp_check(np.zeros((2, 3)))
+
 
 class TestPiBound:
     def test_zero_couplings_exact(self):
@@ -247,6 +264,16 @@ class TestPiBound:
         with pytest.raises(MatchingAmbiguityError) as exc:
             pi_bound(PiMatrix(omegas=omegas, couplings=g))
         assert exc.value.sorted_margins is not None
+
+    def test_ambiguous_pi_is_solved_once(self, monkeypatch):
+        calls = []
+        exact = conditions.eigh
+        monkeypatch.setattr(conditions, "eigh", lambda h: calls.append(h) or exact(h))
+        g = np.zeros((3, 3))
+        g[1, 2] = g[2, 1] = 5.0
+        with pytest.raises(MatchingAmbiguityError):
+            pi_bound(PiMatrix(omegas=np.array([0.0, 1.0, 1.1]), couplings=g))
+        assert len(calls) == 1
 
     def test_invalid_couplings_rejected(self):
         with pytest.raises(InvalidParamsError):

@@ -218,7 +218,7 @@ class TestGammaAt:
 class TestTheta:
     def test_rejects_equal_levels(self, rot_model, grid):
         frame = build_frame(rot_model, grid, gamma_mode="analytic_frame")
-        with pytest.raises(ValueError, match=r"^theta_mn needs m != n$"):
+        with pytest.raises(ValueError, match=r"^pair \(1, 1\) needs two different levels$"):
             theta_series(frame, 1, 1)
 
     @pytest.mark.parametrize("m, n, level", [(2, 0, 2), (0, -1, -1)])

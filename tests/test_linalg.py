@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import random_hermitian
 from qgplab import linalg, models
-from qgplab.errors import NotHermitianError
+from qgplab.errors import NoConvergenceError, NotHermitianError
 from qgplab.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, eigh, expm_unitary
 
 
@@ -85,6 +85,14 @@ class TestEigh:
     def test_rejects_non_finite(self):
         with pytest.raises(NotHermitianError):
             eigh(np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex))
+
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def fail(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NoConvergenceError, match="^Eigenvalues did not converge$"):
+            eigh(SIGMA_Z)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_batch_rejects_non_finite(self, rng, value):
@@ -418,18 +426,15 @@ class TestInPlace:
         assert np.array_equal(hs, expected)
 
     @pytest.mark.parametrize("n", [2, 8])
-    def test_out_of_any_layout(self, rng, n):
+    def test_out_must_flatten_without_a_copy(self, rng, n):
         # leading axes that reshape cannot merge without a copy
         hs = np.ascontiguousarray(hermitian_stack(rng, 6 * 5, n).reshape(6, 5, n, n))
         ts = rng.uniform(-0.5, 0.5, (5, 6)).T
-        expected = linalg.expm_unitary_batch(hs, ts)
         out = np.empty((5, 6, n, n), dtype=complex).transpose(1, 0, 2, 3)
-        assert linalg.expm_unitary_batch(hs, ts, out=out) is out
-        assert np.array_equal(out, expected)
         view = hs.transpose(1, 0, 2, 3)
-        expected = linalg.expm_unitary_batch(view.copy(), ts.T)
-        assert linalg.expm_unitary_batch(view, ts.T, out=view) is view
-        assert np.array_equal(view, expected)
+        for stack, times, target in ((hs, ts, out), (view, ts.T, view)):
+            with pytest.raises(ValueError, match="^out's leading axes must flatten without a copy$"):
+                linalg.expm_unitary_batch(stack, times, out=target)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_out_must_fit_the_stack(self, rng, n):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qgplab import evolve, metrics, models, qgp
-from qgplab.errors import DegenerateAError, GridMismatchError
+from qgplab.errors import DegenerateAError, GridMismatchError, InvalidParamsError
 from qgplab.frames import TimeGrid, adiabatic_trajectory, build_frame
 from qgplab.metrics import (
     closed_form_F,
@@ -64,6 +64,17 @@ class TestFidelity:
         )
         with pytest.raises(GridMismatchError):
             fidelity(fake, traj_b)
+
+    def test_state_dimension_mismatch_rejected(self):
+        grid = TimeGrid.uniform(0.0, 1.0, 65)
+        frame = build_frame(models.constant_model(np.diag([0.0, 1.0, 3.0])), grid)
+        traj = adiabatic_trajectory(frame, 0)
+        fake = evolve.EvolutionResult(
+            grid=grid, states=traj.states[:, :2], norms=np.ones(grid.n), method="exact",
+            substeps_per_interval=1, total_steps=grid.n - 1, max_norm_drift=0.0, refinements=0,
+        )
+        with pytest.raises(GridMismatchError, match="^state dimensions differ$"):
+            fidelity(fake, traj)
 
     def test_simulated_matches_closed_form(self, regime_rescued):
         params = regime_rescued
@@ -152,7 +163,21 @@ class TestClosedFormP:
         np.testing.assert_allclose(occ.values, closed_form_P(fig1_params, grid.samples), atol=1e-6)
 
 
+    def test_closed_gap_scale_rejected(self):
+        # eta + eta1 = 0 and eta0 = 0: N(0) = 0
+        with pytest.raises(InvalidParamsError, match=r"^gap scale N\(tau\) must be positive$"):
+            closed_form_P(RobustModelParams(eta=1.0, eta0=0.0, eta1=-1.0, eta2=1.0), 0.5)
+
+    def test_vanishing_eta_bar_rejected(self):
+        with pytest.raises(InvalidParamsError, match="^eta_bar = 0; closed form undefined$"):
+            closed_form_P(RobustModelParams(eta=1.0, eta0=1.0, eta1=0.0, eta2=-1.0), 0.5)
+
+
 class TestPMin:
+    def test_closed_gap_scale_rejected(self):
+        with pytest.raises(InvalidParamsError, match=r"^N\(0\) must be positive$"):
+            p_min(RobustModelParams(eta=1.0, eta0=0.0, eta1=-1.0, eta2=1.0))
+
     def test_no_z_component_gives_one(self):
         params = RobustModelParams(eta=0.0, eta0=5.0, eta1=0.0, eta2=3.0)
         assert p_min(params) == 1.0

@@ -57,6 +57,16 @@ def _zoo():
     return ALL_MODELS
 
 
+class TestHamiltonianModel:
+    def test_sample_derivative_needs_a_derivative(self):
+        model = models.HamiltonianModel(
+            dim=2, evaluate_batch=lambda taus: np.broadcast_to(SIGMA_Z, (taus.size, 2, 2)),
+            label="plain",
+        )
+        with pytest.raises(InvalidParamsError, match="^model 'plain' has no analytic derivative$"):
+            model.sample_derivative([0.0, 1.0])
+
+
 class TestRotatingSpin:
     def test_at_tau_zero(self):
         model = rotating_spin(RotatingSpinParams(eta=0.7, xi=0.3, K=5.0))
@@ -87,6 +97,8 @@ class TestRotatingSpin:
             RotatingSpinParams(eta=-1.0, xi=0.5, K=1.0)
         with pytest.raises(InvalidParamsError):
             RotatingSpinParams(eta=1.0, xi=0.0, K=1.0)
+        with pytest.raises(InvalidParamsError, match="^rotating spin parameters must be finite$"):
+            RotatingSpinParams(eta=1.0, xi=0.5, K=np.inf)
 
 
 class TestRobustModel:
@@ -115,6 +127,10 @@ class TestRobustModel:
         taus = rng.uniform(0.0, 4.0, 12)
         pointwise = np.stack([robust_hamiltonian_nested(p, float(t)) for t in taus])
         np.testing.assert_allclose(pointwise, model.sample(taus), atol=1e-13)
+
+    def test_non_finite_params_rejected(self):
+        with pytest.raises(InvalidParamsError, match="^robust model parameters must be finite$"):
+            RobustModelParams(eta=1.0, eta0=np.nan, eta1=1.0, eta2=1.0)
 
     def test_negative_mixed_radicand_rejected(self):
         with pytest.raises(InvalidParamsError):
@@ -199,6 +215,10 @@ class TestFourier:
         psi0 = np.array([0.0, 1.0, 0.0], dtype=complex)
         result = evolve_schrodinger(model, psi0, TimeGrid.uniform(0.0, 2.0, 65), tol=1e-12)
         np.testing.assert_allclose(result.states, np.broadcast_to(psi0, result.states.shape), atol=1e-14)
+
+    def test_rejects_a_term_of_the_wrong_shape(self):
+        with pytest.raises(InvalidParamsError, match=r"^term 0 has shape \(3, 3\), expected \(2, 2\)$"):
+            fourier_nlevel(2, [FourierTerm(np.eye(3), 1.0, 1.0)])
 
     def test_rejects_non_hermitian_term(self):
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)

@@ -2,21 +2,27 @@ import numpy as np
 import pytest
 
 from qgplab import models, qgp
+from qgplab.conditions import condition_report
 from qgplab.errors import (
     DegenerateCouplingError,
+    InvariantViolationError,
     NotClosedError,
+    OutOfRangeError,
     SingularPointError,
     UndefinedArgError,
 )
 from qgplab.frames import TimeGrid, adiabatic_trajectory, build_frame, regauge
-from qgplab.linalg import SIGMA_Z
+from qgplab.linalg import SIGMA_X, SIGMA_Z
 from qgplab.models import (
     BlochCurveModel,
+    HamiltonianModel,
+    RobustModelParams,
     RotatingSpinParams,
     SmoothScalar,
     bloch_curve,
     bloch_qgp,
     constant_model,
+    robust_model,
     rotating_spin,
 )
 from qgplab.qgp import (
@@ -38,6 +44,52 @@ def rot_params():
 @pytest.fixture(scope="module")
 def rot_model(rot_params):
     return rotating_spin(rot_params)
+
+
+def rotating_loop(rot_model, rot_params, n, gamma_mode="analytic_derivative"):
+    """The frame of one period of the rotating spin: h(tau_end) = h(0)."""
+    grid = TimeGrid.uniform(0.0, np.pi / (rot_params.K * rot_params.eta), n)
+    return build_frame(rot_model, grid, gamma_mode=gamma_mode)
+
+
+def swinging_model():
+    """h = sigma_z + sin(tau) sigma_x: dh vanishes at tau = pi/2 + k pi."""
+    def evaluate_batch(taus):
+        return SIGMA_Z + np.sin(taus)[:, None, None] * SIGMA_X
+
+    def derivative_batch(taus):
+        return np.cos(taus)[:, None, None] * SIGMA_X
+
+    return HamiltonianModel(
+        dim=2, evaluate_batch=evaluate_batch, derivative_batch=derivative_batch, label="swing"
+    )
+
+
+class TestLevelPairs:
+    """``pair_series`` checks the pair of every caller before it reads gamma."""
+
+    @pytest.fixture(scope="class")
+    def frame(self, rot_model):
+        return build_frame(rot_model, TimeGrid.uniform(0.0, 2.0, 257), gamma_mode="analytic_frame")
+
+    @pytest.mark.parametrize("m, n, level", [(-1, 0, -1), (0, 2, 2)])
+    def test_qgp_rejects_a_level_out_of_range(self, frame, m, n, level):
+        with pytest.raises(OutOfRangeError, match=rf"^level {level} outside 0\.\.1$"):
+            qgp.qgp(frame, m, n)
+
+    @pytest.mark.parametrize("m", [-1, 2])
+    def test_condition_report_rejects_a_level_out_of_range(self, frame, m):
+        with pytest.raises(OutOfRangeError, match=rf"^level {m} outside 0\.\.1$"):
+            condition_report(frame, m)
+
+    def test_berry_difference_rejects_a_level_out_of_range(self, rot_model, rot_params):
+        loop = rotating_loop(rot_model, rot_params, 1025)
+        with pytest.raises(OutOfRangeError, match=r"^level 2 outside 0\.\.1$"):
+            berry_difference(loop, 0, 2)
+
+    def test_qgp_rejects_equal_levels(self, frame):
+        with pytest.raises(ValueError, match=r"^pair \(1, 1\) needs two different levels$"):
+            qgp.qgp(frame, 1, 1)
 
 
 def smooth_random_curve(rng, min_coupling=0.05):
@@ -168,6 +220,18 @@ class TestCurvatureIdentity:
         rho = geodesic_curvature(curve, grid)
         np.testing.assert_allclose(rho, 0.0, atol=1e-14)
 
+    def test_no_valid_sample_rejected(self):
+        # three samples with phi = 0 on each and theta(0) = theta(2h): the
+        # central difference of the vectors vanishes at the middle sample, so
+        # the coupled runs are single samples, where the stencil leaves Delta NaN
+        h = 0.5
+        curve = BlochCurveModel(
+            theta=SmoothScalar.sinusoid(np.pi / 3, 0.4, np.pi / (2 * h)),
+            phi=SmoothScalar.sinusoid(0.0, 0.3, np.pi / h),
+        )
+        with pytest.raises(UndefinedArgError, match="^coupling vanished everywhere on the grid$"):
+            qgp_curvature_identity(curve, np.array([0.0, h, 2 * h]), gamma_mode="finite_difference")
+
     def test_random_curves_fd_path(self, rng):
         for _ in range(3):
             curve = smooth_random_curve(rng)
@@ -236,6 +300,38 @@ class TestBerryDifference:
         assert abs(result.integral_delta) <= 1e-6
         assert abs(result.berry_m) <= 1e-6 and abs(result.berry_n) <= 1e-6
 
+    def test_frame_without_model_rejected(self, rot_model):
+        frame = reparametrize_flat(rot_model, (0.0, 1.0), samples=257).frame
+        with pytest.raises(NotClosedError, match="^frame carries no model; cannot verify closure$"):
+            berry_difference(frame, 1, 0)
+
+    def test_undersampled_loop_does_not_close(self):
+        # the eigenvectors of cos(tau) sz + sin(tau) sx turn by 60 degrees per
+        # step, so tracking by overlap swaps the levels at each of the 3 steps
+        def evaluate_batch(taus):
+            return np.cos(taus)[:, None, None] * SIGMA_Z + np.sin(taus)[:, None, None] * SIGMA_X
+
+        model = HamiltonianModel(dim=2, evaluate_batch=evaluate_batch, label="circle")
+        frame = build_frame(model, TimeGrid.uniform(0.0, 2.0 * np.pi, 4), gamma_mode="finite_difference")
+        with pytest.raises(NotClosedError, match="^eigenframe does not close up to phases over the loop$"):
+            berry_difference(frame, 1, 0)
+
+    def test_coarse_winding_rejected(self, rot_model, rot_params):
+        frame = rotating_loop(rot_model, rot_params, 6, gamma_mode="finite_difference")
+        with pytest.raises(InvariantViolationError, match=r"^coupling winding 1\.0801 is not an integer$"):
+            berry_difference(frame, 1, 0)
+
+    def test_coarse_residual_rejected(self):
+        curve = BlochCurveModel(
+            theta=SmoothScalar.sinusoid(np.pi / 3, 0.2, 1.0, np.pi / 2),
+            phi=SmoothScalar.sinusoid(0.0, 0.3, 1.0, 0.0),
+        )
+        grid = TimeGrid.uniform(0.0, 2.0 * np.pi, 33)
+        frame = build_frame(bloch_curve(curve), grid, gamma_mode="analytic_derivative")
+        with pytest.raises(InvariantViolationError,
+                           match=r"^Berry-difference identity residual 3\.582e-05 exceeds 1e-05$"):
+            berry_difference(frame, 1, 0)
+
     def test_open_path_rejected(self, rot_model):
         grid = TimeGrid.uniform(0.0, 1.234, 1025)
         frame = build_frame(rot_model, grid, gamma_mode="analytic_derivative")
@@ -243,7 +339,34 @@ class TestBerryDifference:
             berry_difference(frame, 1, 0)
 
 
+class TestReparamMap:
+    def test_decreasing_map_rejected(self):
+        rmap = ReparamMap(f=SmoothScalar.poly([0.0, -1.0]), domain=(0.0, 1.0))
+        with pytest.raises(DegenerateCouplingError, match="^time map is not strictly increasing$"):
+            rmap.inverse(-0.5)
+
+
 class TestReparametrizeFlat:
+    def test_reversed_interval_rejected(self, rot_model):
+        with pytest.raises(ValueError, match="^interval must be ordered$"):
+            reparametrize_flat(rot_model, (1.0, 0.0))
+
+    def test_three_levels_rejected_before_sampling(self):
+        def evaluate_batch(taus):
+            raise AssertionError("the model was sampled")
+
+        model = HamiltonianModel(dim=3, evaluate_batch=evaluate_batch, label="three")
+        with pytest.raises(ValueError, match="^flat reparametrization is defined for 2-level models$"):
+            reparametrize_flat(model, (0.0, 1.0))
+
+    def test_frame_without_closed_form_stays_without(self, fig1_params):
+        # the robust model has no closed-form Delta; the rotating spin has one
+        result = reparametrize_flat(robust_model(fig1_params), (0.0, 0.05), samples=1025)
+        assert result.frame.delta_analytic is None
+        assert result.frame.gamma_mode == "analytic_derivative+flat"
+        comb = result.combination
+        assert np.max(np.abs(comb - comb.mean())) <= 1e-6 * np.abs(comb.mean())
+
     def test_rotating_map_is_affine(self, rot_model):
         result = reparametrize_flat(rot_model, (0.0, 3.0))
         fit = np.polyfit(result.tau, result.tau_prime, 1)
@@ -332,6 +455,14 @@ class TestReparamInvariance:
             bloch_curve(blind), (0.0, 1.0), rmap, samples=4097, gamma_mode="finite_difference"
         )
         assert dev <= 1e-3
+
+
+    def test_no_commonly_valid_sample_rejected(self):
+        # five samples a quarter period apart: dh, so gamma, vanishes at every
+        # other one, and the stencil leaves Delta NaN on the one-sample runs
+        rmap = ReparamMap(f=SmoothScalar.poly([0.0, 1.0]), domain=(-0.1, 7.0))
+        with pytest.raises(UndefinedArgError, match="^no commonly valid samples for the comparison$"):
+            reparam_invariance_check(swinging_model(), (0.0, 2.0 * np.pi), rmap, samples=5)
 
 
 class TestGaugeInvariance:

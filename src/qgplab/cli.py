@@ -333,7 +333,10 @@ class ScenarioRun:
 
     The model is built, and ``cfg.level`` checked against it, on
     construction; every later stage at most once, on first use.  The
-    evolution starts in level ``cfg.level`` of the frame.
+    evolution starts where ``trajectory``, the adiabatic orbit of level
+    ``cfg.level``, starts.  That orbit is all of the frame ``simulate`` reads,
+    so it releases the frame (``del run.frame``) once the orbit is built and
+    before the evolution runs; the other subcommands keep the frame.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -362,13 +365,17 @@ class ScenarioRun:
         )
 
     @cached_property
+    def trajectory(self):
+        return adiabatic_trajectory(self.frame, self.cfg.level)
+
+    @cached_property
     def evolution(self):
-        psi0 = self.frame.vectors[0, :, self.cfg.level].copy()
+        psi0 = self.trajectory.states[0].copy()
         return evolve_schrodinger(self.model, psi0, self.grid, tol=self.cfg.tol)
 
     @cached_property
     def fidelity(self):
-        return metrics.fidelity(self.evolution, adiabatic_trajectory(self.frame, self.cfg.level))
+        return metrics.fidelity(self.evolution, self.trajectory)
 
 
 def cmd_simulate(cfg: ScenarioConfig) -> int:
@@ -381,6 +388,9 @@ def cmd_simulate(cfg: ScenarioConfig) -> int:
         # ahead of the evolution, as it may not exist (A = 0); the closed form
         # counts time from the start of the evolution
         closed_form = [metrics.closed_form_F(run.params, grid.samples - cfg.tau_start)]
+    # the orbit is all of the frame that the evolution and the fidelity read
+    run.trajectory
+    del run.frame
     result, fid = run.evolution, run.fidelity
     out = reporting.ensure_dir(cfg.out_dir)
 

@@ -37,11 +37,11 @@ its stacked samples become its generators, sum_k W[j, k] h(t0 + c_k dt) for
 each factor j, formed a 32nd of the chunk at a time through one small
 temporary; ``expm_unitary_batch`` writes the exponentials over them; and the
 substep exponentials of each grid interval are composed with
-``linalg.matmul_batch``, the last product straight into the interval's slice
-of the transfers.  The chunk is released before the next one is sampled.  So
-a pass holds its transfers, one chunk, and either the sub-block temporaries
-of the Pade blocks in flight or the composition's running products (two
-stacks of one matrix per interval).
+``linalg.matmul_batch`` without temporaries, each running product written to
+the interval's slice of the transfers or to the slot of a factor already
+applied.  The chunk is released before the next one is sampled.  So a pass
+holds its transfers, one chunk, and the sub-block temporaries of the Pade
+blocks in flight.
 ``_scan_states`` turns the n transfers into the n + 1 states by a two-level
 blocked scan: blocks of w = ceil(sqrt(n)) transfers, w - 1 batched in-block
 prefix products, a sequential walk over the ceil(n/w) block ends for each
@@ -121,14 +121,17 @@ CF4 = StepRule(
 
 def _compose_intervals(step_us: np.ndarray, out: np.ndarray) -> None:
     """Product over the substep axis (time order) of (n, s, N, N) unitaries,
-    the last product written straight to ``out`` (n, N, N)."""
+    written to ``out`` (n, N, N) without temporaries.
+
+    Each running product goes to ``out`` or to the slot of the factor applied
+    just before, alternately, so at even s the last one lands in ``out``; at
+    odd s it is copied there.
+    """
     u = step_us[:, 0]
-    for j in range(1, step_us.shape[1] - 1):
-        u = matmul_batch(step_us[:, j], u)
-    if step_us.shape[1] == 1:
+    for j in range(1, step_us.shape[1]):
+        u = matmul_batch(step_us[:, j], u, out=out if j % 2 else step_us[:, j - 1])
+    if u is not out:
         out[...] = u
-    else:
-        matmul_batch(step_us[:, -1], u, out=out)
 
 
 def _factor_generators(hs: np.ndarray, weights: np.ndarray) -> None:

@@ -221,10 +221,12 @@ def _gamma(
 ) -> np.ndarray:
     """gamma_nm = i<phi_n|phi_m_dot>, assembled per block in place.
 
-    With ``dh`` the off-diagonals are i <phi_n|dh|phi_m> / (e_m - e_n) and only
-    the diagonal comes from the differentiated vectors ``dvec``.
+    With ``dh`` (a complex stack the caller gives up) the off-diagonals are
+    i <phi_n|dh|phi_m> / (e_m - e_n), written over ``dh``: each block reads
+    only its own slice and forms dh @ phi before it writes.  Only the
+    diagonal comes from the differentiated vectors ``dvec``.
     """
-    gamma = np.empty(vectors.shape, dtype=np.result_type(vectors, 1j))
+    gamma = np.empty(vectors.shape, dtype=np.result_type(vectors, 1j)) if dh is None else dh
     idx = np.arange(vectors.shape[-1])
 
     def block(k0, k1):
@@ -232,7 +234,7 @@ def _gamma(
         if dh is None:
             np.multiply(1j, dagger(v) @ dv, out=g)
             return
-        np.matmul(dagger(v), dh[k0:k1] @ v, out=g)
+        np.matmul(dagger(v), g @ v, out=g)
         g *= 1j
         g /= energies[k0:k1, None, :] - energies[k0:k1, :, None]
         g[:, idx, idx] = 1j * np.einsum("kin,kin->kn", v.conj(), dv)
@@ -269,7 +271,10 @@ def build_frame(
 
     if mode != "analytic_frame":
         dvec = numerics.derivative_series(vectors, taus)
-        dh = model.sample_derivative(taus) if mode == "analytic_derivative" else None
+        dh = None
+        if mode == "analytic_derivative":
+            # private to this call, so gamma can be assembled over it
+            dh = np.require(model.sample_derivative(taus), dtype=complex, requirements="CW")
         gamma = _gamma(vectors, dvec, energies, dh)
 
     return SpectralFrame(
@@ -384,17 +389,15 @@ class AdiabaticTrajectory:
     """U(1)-invariant adiabatic orbit of one level.
 
     states[k] = exp(-i * phases[k]) * phi_m(tau_k) with
-    phases[k] = int_0^tau_k (e_m - gamma_mm) dlambda; phases[0] = 0.
+    phases[k] = int_0^tau_k (e_m - gamma_mm) dlambda; phases[0] = 0.  It
+    keeps the grid but not the frame, so the orbit outlives the frame's other
+    levels and gamma.
     """
 
-    frame: SpectralFrame
+    grid: TimeGrid
     level: int
     phases: np.ndarray
     states: np.ndarray
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.frame.grid
 
 
 def adiabatic_trajectory(frame: SpectralFrame, m: int) -> AdiabaticTrajectory:
@@ -403,7 +406,7 @@ def adiabatic_trajectory(frame: SpectralFrame, m: int) -> AdiabaticTrajectory:
     integrand = frame.energies[:, m] - frame.gamma[:, m, m].real
     phases = numerics.cumulative_integral(integrand, taus)
     states = np.exp(-1j * phases)[:, None] * frame.vectors[:, :, m]
-    return AdiabaticTrajectory(frame=frame, level=m, phases=phases, states=states)
+    return AdiabaticTrajectory(grid=frame.grid, level=m, phases=phases, states=states)
 
 
 def regauge(frame: SpectralFrame, fs: list[SmoothScalar]) -> SpectralFrame:

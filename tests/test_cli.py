@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -601,6 +602,34 @@ class TestComputeOnce:
         path.write_text(config_text)
         assert cli.main(["sweep", "--config", str(path)]) == 0
         assert calls == {"build_frame": 3, "evolve_schrodinger": 3}
+
+
+class TestFrameRelease:
+    @pytest.mark.parametrize("route", ["analytic_frame", "analytic_derivative"])
+    def test_simulate_frees_the_frame_before_the_evolution(self, tmp_path, monkeypatch, route):
+        # the evolution and the fidelity need only the orbit of one level
+        frames, alive = [], []
+        build, evolve = cli.build_frame, cli.evolve_schrodinger
+
+        def tracked_build(*args, **kwargs):
+            frame = build(*args, **kwargs)
+            frames.append(weakref.ref(frame))
+            return frame
+
+        def counted_evolve(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in frames))
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_frame", tracked_build)
+        monkeypatch.setattr(cli, "evolve_schrodinger", counted_evolve)
+        if route == "analytic_frame":
+            config = rotating_config(tmp_path, RotatingSpinParams(eta=1.0, xi=0.5, K=2.0), samples=256)
+        else:
+            config = tmp_path / "constant.ini"
+            config.write_text(CONSTANT_CONFIG.format(out=tmp_path / "out"))
+        assert cli.main(["simulate", "--config", str(config)]) == 0
+        assert len(frames) == 1
+        assert alive == [0]
 
 
 class TestInputEdges:

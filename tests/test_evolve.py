@@ -285,6 +285,19 @@ class TestComposition:
         expected = np.stack([linalg.expm_unitary(h, t) @ psi0 for t in grid.samples])
         np.testing.assert_allclose(states, expected, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("factors", [1, 2, 3, 4, 5])
+    def test_in_place_products_equal_a_loop(self, rng, dim, factors):
+        # the running products overwrite applied factors: same bytes as a loop
+        steps = rng.standard_normal((7, factors, dim, dim)) + 1j * rng.standard_normal(
+            (7, factors, dim, dim))
+        expected = steps[:, 0]
+        for j in range(1, factors):
+            expected = linalg.matmul_batch(steps[:, j], expected)
+        out = np.empty((7, dim, dim), dtype=complex)
+        evolve._compose_intervals(steps.copy(), out)
+        assert np.array_equal(out, expected)
+
 
 class TestPassMemory:
     def test_one_pass_holds_one_chunk_and_one_pade_block(self, rng, monkeypatch):
@@ -331,8 +344,10 @@ class TestChunkMemory:
     one that the generators are formed through, and one Pade block's
     temporaries: its norm, and eight arrays of one sub-block.
 
-    The chunks are 4 MiB here.  At 8 MiB and 2 substeps the composition's
-    two running products (a quarter chunk each) outgrow the Pade term.
+    The chunks are 4 MiB here, and the default 8 MiB in one case.  The
+    composition writes its running products into the chunk's applied factors
+    and the transfers, so at 2 substeps it holds no quarter-chunk products
+    beside the chunk.
     """
 
     CHUNK = 4 << 20
@@ -348,9 +363,9 @@ class TestChunkMemory:
             tracemalloc.stop()
         return peak - (taus.size - 1) * 16 * model.dim**2 - states.nbytes
 
-    def bound(self, dim):
+    def bound(self, dim, chunk=CHUNK):
         matrix_bytes = 16 * dim * dim
-        return (self.CHUNK + self.CHUNK // 32 + 8 * linalg._PADE_SUB_BLOCK * matrix_bytes
+        return (chunk + chunk // 32 + 8 * linalg._PADE_SUB_BLOCK * matrix_bytes
                 + linalg.EXPM_BLOCK * matrix_bytes)
 
     def test_dense_pass_holds_one_array_per_chunk(self, rng, monkeypatch):
@@ -363,6 +378,15 @@ class TestChunkMemory:
                                      for omega in (0.0, 1.0, 2.0)])
         peak = self.pass_peak(model, np.linspace(0.0, 10.0, 4097), 2)
         assert peak <= self.bound(dim)
+
+    def test_default_chunk_holds_one_array(self, rng, monkeypatch):
+        # the same 16 MiB sample stack in two chunks of the default 8 MiB
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        dim = 8
+        model = fourier_nlevel(dim, [FourierTerm(random_hermitian(rng, dim), omega, 1.0, 0.1)
+                                     for omega in (0.0, 1.0, 2.0)])
+        peak = self.pass_peak(model, np.linspace(0.0, 10.0, 4097), 2)
+        assert peak <= self.bound(dim, evolve._CHUNK_BYTES)
 
     def test_pauli_pass_holds_one_array_per_chunk(self, monkeypatch):
         # 4,096 intervals x 4 substeps x 2 nodes: a 2 MiB sample stack, one

@@ -1,12 +1,13 @@
 import dataclasses
 import logging
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment as scipy_linear_sum_assignment
 
-from qgplab import evolve, frames, models, qgp
+from qgplab import evolve, frames, linalg, models, qgp
 from qgplab.errors import (
     GapClosureError,
     OutOfRangeError,
@@ -480,6 +481,52 @@ class TestLevelTracking:
         _, _, min_overlap = sequential_track(*eigh_batch(fast.sample(grid.samples)))
         assert frame.min_overlap < 0.99
         assert frame.min_overlap == pytest.approx(min_overlap, rel=3e-15)
+
+
+class TestGammaOverDerivative:
+    """On the analytic-derivative route gamma is assembled over the model's
+    derivative stack, after it is made a writable complex array."""
+
+    def test_read_only_real_derivative_is_copied_before_it_is_overwritten(self):
+        rng = np.random.default_rng(5)
+        h0 = np.diag([0.0, 1.0, 3.0]).astype(complex)
+        hdot = np.real(random_hermitian(rng, 3))
+        shared = np.broadcast_to(hdot, (4096, 3, 3))
+
+        def linear(derivative_batch):
+            return models.HamiltonianModel(
+                dim=3, evaluate_batch=lambda taus: h0 + taus[:, None, None] * hdot,
+                derivative_batch=derivative_batch,
+            )
+
+        grid = TimeGrid.uniform(0.0, 0.5, 513)
+        frame = build_frame(linear(lambda taus: shared[: taus.size]), grid)
+        copied = build_frame(linear(lambda taus: shared[: taus.size].astype(complex)), grid)
+        assert frame.gamma_mode == "analytic_derivative"
+        for name in ("energies", "vectors", "gamma"):
+            assert np.array_equal(getattr(frame, name), getattr(copied, name))
+        assert np.array_equal(shared[0], hdot)
+
+    def test_gamma_stage_holds_three_stacks(self, monkeypatch):
+        # one CPU: the per-sample blocks run inline, one at a time
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        dim, samples = 8, 4096
+        model = random_fourier(3, dim)
+        grid = TimeGrid.uniform(0.0, 2.0 * np.pi, samples)
+        tracemalloc.start()
+        try:
+            frame = build_frame(model, grid, gamma_mode="analytic_derivative")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert frame.min_overlap > 0.99
+        matrix_bytes = 16 * dim * dim
+        # the vectors, their derivative and gamma written over h-dot; one
+        # block's conjugate transpose and product; the energies and as much
+        # again for the smaller per-sample arrays
+        bound = (3 * samples * matrix_bytes + 2 * linalg.EXPM_BLOCK * matrix_bytes
+                 + samples * dim * 16)
+        assert peak <= bound
 
 
 class TestPooledFrame:

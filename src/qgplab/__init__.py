@@ -10,22 +10,7 @@ potential, curvature, loop identities), ``conditions`` (adiabaticity
 criteria and the Pi-matrix machinery), ``metrics`` (closed-form oracles),
 ``reporting`` (CSV and SVG writers; ``_g17`` is its exact ``%.17g``
 kernel), ``cli`` (configs and one compute-once scenario run behind every
-subcommand).
+subcommand).  Importing the package imports none of them.
 """
-
-from . import conditions, evolve, frames, linalg, metrics, models, numerics, qgp
-from .errors import QgplabError
-
-__all__ = [
-    "conditions",
-    "evolve",
-    "frames",
-    "linalg",
-    "metrics",
-    "models",
-    "numerics",
-    "qgp",
-    "QgplabError",
-]
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import metrics, reporting
-from .conditions import condition_report
+from .conditions import PAIRINGS, condition_report
 from .errors import ConfigError, NumericalError, QgplabError
 from .evolve import evolve_schrodinger
 from .frames import TimeGrid, adiabatic_trajectory, build_frame
@@ -281,8 +281,8 @@ def _validate(cfg: ScenarioConfig, sources: dict[str, str]) -> None:
         raise ConfigError(
             f"{where('traditional_threshold')}: must be finite and positive, got {threshold!r}"
         )
-    if cfg.pairing not in ("conservative", "strict"):
-        raise ConfigError(f"{where('pairing')}: conservative or strict")
+    if cfg.pairing not in PAIRINGS:
+        raise ConfigError(f"{where('pairing')}: {' or '.join(PAIRINGS)}")
     for key, values in cfg.sweep.items():
         _finite(values, f"field '{key}' in [sweep]")
 

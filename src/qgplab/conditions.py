@@ -29,11 +29,13 @@ from .errors import (
     InvalidParamsError,
     InvariantViolationError,
     MatchingAmbiguityError,
-    NotAntisymmetricError,
     UndefinedArgError,
 )
 from .frames import SpectralFrame, pair_series
-from .linalg import eigh
+from .linalg import eigh_batch
+
+#: readings of the new criterion's numerator index (module docstring)
+PAIRINGS = ("conservative", "strict")
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +92,7 @@ def condition_report(
     """Evaluate both criteria for initial level m over the whole grid."""
     if not 0.0 < delta_threshold < 1.0:
         raise InvalidParamsError("delta must lie in (0, 1)")
-    if pairing not in ("conservative", "strict"):
+    if pairing not in PAIRINGS:
         raise InvalidParamsError(f"unknown pairing {pairing!r}")
     if frame.min_gap <= 0:
         raise GapClosureError("frame has a closed gap")
@@ -159,28 +161,6 @@ def condition_report(
 
 
 # ---------------------------------------------------------------------------
-# Rydberg-Ritz combination principle
-# ---------------------------------------------------------------------------
-
-
-def rrcp_check(theta_dots: np.ndarray) -> tuple[bool, np.ndarray]:
-    """Check theta_dot_nl + theta_dot_lm = theta_dot_nm for all triples to 1e-8.
-
-    Holds iff theta_dot_mn = omega_m - omega_n for some vector omega; the
-    recovered omega (gauge-fixed by omega_N = 0) is returned either way.
-    """
-    td = np.asarray(theta_dots, dtype=float)
-    if td.ndim != 2 or td.shape[0] != td.shape[1]:
-        raise ValueError("theta_dots must be a square matrix")
-    if np.max(np.abs(td + td.T)) > 1e-8:
-        raise NotAntisymmetricError("theta_dot is not antisymmetric within 1e-08")
-    omega = td[:, -1].copy()  # omega_m = theta_dot_m,N with omega_N = 0
-    triple = td[:, :, None] + td[None, :, :] - td[:, None, :]
-    ok = bool(np.max(np.abs(triple)) <= 1e-8)
-    return ok, omega
-
-
-# ---------------------------------------------------------------------------
 # Pi-matrix machinery (constant |gamma| and theta_dot)
 # ---------------------------------------------------------------------------
 
@@ -221,6 +201,8 @@ class PiMatrix:
     def condition_ratio(self, m: int, pairing: str = "conservative") -> float:
         """Criterion ratio for constant couplings: |gamma_km| over the
         phase-rate gaps |omega_n - omega_m|."""
+        if pairing not in PAIRINGS:
+            raise InvalidParamsError(f"unknown pairing {pairing!r}")
         others = [n for n in range(self.dim) if n != m]
         gaps = np.abs(self.omegas[others] - self.omegas[m])
         if np.min(gaps) == 0:
@@ -249,8 +231,7 @@ def pi_bound(pi: PiMatrix) -> PiBoundReport:
     spacing), the pairing is ill-defined and MatchingAmbiguity is raised
     carrying the margins of both candidate orderings.
     """
-    system = eigh(pi.matrix())
-    etas = system.values
+    etas, vectors = eigh_batch(pi.matrix())
     order = np.argsort(pi.omegas, kind="stable")
     bounds = pi.level_bounds()
     radii = np.maximum(bounds, np.sum(pi.couplings, axis=0))
@@ -264,7 +245,7 @@ def pi_bound(pi: PiMatrix) -> PiBoundReport:
     shifts[order] = etas - sorted_omegas
     margins = bounds - np.abs(shifts)
     if ambiguous:
-        overlap_match = np.argmax(np.abs(system.vectors), axis=0)
+        overlap_match = np.argmax(np.abs(vectors), axis=0)
         alt = np.full(pi.dim, np.nan)
         if np.unique(overlap_match).size == pi.dim:
             alt_shifts = np.empty(pi.dim)
@@ -287,8 +268,8 @@ def pi_bound(pi: PiMatrix) -> PiBoundReport:
 
 def constant_case_solution(pi: PiMatrix, m: int, tau) -> complex | np.ndarray:
     """Exact surviving amplitude c'_m(tau) = sum_k |U_mk|^2 e^{i eta_k tau}."""
-    system = eigh(pi.matrix())
-    weights = np.abs(system.vectors[m, :]) ** 2
+    etas, vectors = eigh_batch(pi.matrix())
+    weights = np.abs(vectors[m, :]) ** 2
     taus = np.asarray(tau, dtype=float)
-    out = np.sum(weights * np.exp(1j * np.outer(np.atleast_1d(taus), system.values)), axis=1)
+    out = np.sum(weights * np.exp(1j * np.outer(np.atleast_1d(taus), etas)), axis=1)
     return complex(out[0]) if np.ndim(tau) == 0 else out

@@ -64,10 +64,6 @@ class GridMismatchError(QgplabError):
     """Two per-sample series live on different grids."""
 
 
-class NotAntisymmetricError(QgplabError):
-    """Phase-rate matrix is not antisymmetric within tolerance."""
-
-
 class MatchingAmbiguityError(NumericalError):
     """Pairing of Pi eigenvalues to diagonal entries is ill-defined.
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,18 +74,30 @@ _MIN_STEP = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class EvolutionResult:
-    """States sampled on a grid, with unitarity bookkeeping."""
+    """States on a grid and the refinement trail; the bookkeeping derives from both."""
 
     grid: TimeGrid
     states: np.ndarray
-    norms: np.ndarray
     method: str
     substeps_per_interval: int
-    total_steps: int
-    max_norm_drift: float
-    refinements: int
     #: max state difference between successive refinements, one per halving
     convergence: tuple[float, ...] = ()
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        return np.linalg.norm(self.states, axis=1)
+
+    @property
+    def total_steps(self) -> int:
+        return self.substeps_per_interval * (self.grid.n - 1)
+
+    @property
+    def max_norm_drift(self) -> float:
+        return float(np.max(np.abs(self.norms - 1.0)))
+
+    @property
+    def refinements(self) -> int:
+        return len(self.convergence)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,21 +271,6 @@ def _adaptive_states(
             return states, substeps, tuple(trail)
 
 
-def _result(grid, states, method, substeps, trail) -> EvolutionResult:
-    norms = np.linalg.norm(states, axis=1)
-    return EvolutionResult(
-        grid=grid,
-        states=states,
-        norms=norms,
-        method=method,
-        substeps_per_interval=substeps,
-        total_steps=substeps * (grid.n - 1),
-        max_norm_drift=float(np.max(np.abs(norms - 1.0))),
-        refinements=len(trail),
-        convergence=trail,
-    )
-
-
 def evolve_schrodinger(
     model: HamiltonianModel,
     psi0: np.ndarray,
@@ -286,7 +284,7 @@ def evolve_schrodinger(
     if psi0.size != model.dim:
         raise GridMismatchError(f"state dim {psi0.size} != model dim {model.dim}")
     states, substeps, trail = _adaptive_states(model.sample, psi0, grid, tol)
-    return _result(grid, states, "schrodinger", substeps, trail)
+    return EvolutionResult(grid, states, "schrodinger", substeps, trail)
 
 
 def schrodinger_fixed_step(
@@ -351,7 +349,7 @@ def evolve_coefficients(
         return -out
 
     states, substeps, trail = _adaptive_states(sample_generator, c0, frame.grid, tol)
-    return _result(frame.grid, states, "coefficients", substeps, trail)
+    return EvolutionResult(frame.grid, states, "coefficients", substeps, trail)
 
 
 def reconstruct_state(frame: SpectralFrame, coefficients: EvolutionResult) -> np.ndarray:

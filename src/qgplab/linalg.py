@@ -3,7 +3,7 @@
 Hermitian eigendecomposition, unitary matrix exponentials, and the
 Hermiticity and unit-norm checks the rest of the package leans on.
 Everything operates on plain ``numpy`` arrays; eigenvectors are stored as
-matrix *columns*.
+matrix *columns*.  ``eigh_batch``, the one eigensolver, maps LAPACK failures.
 
 Batched exponentials exp(-i H t) take the closed 2x2 Pauli form for N = 2
 and scaling-and-squaring diagonal Pade for N > 2 (Higham, SIAM J. Matrix
@@ -60,7 +60,6 @@ import math
 import os
 import threading
 from contextvars import copy_context
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,28 +152,6 @@ def require_state(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Instantaneous eigensystem: ascending eigenvalues, orthonormal columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def eigh(h: np.ndarray) -> EigenSystem:
-    """Hermitian eigendecomposition with ascending eigenvalues.
-
-    Per-eigenvector phase is arbitrary here; gauge fixing happens in the
-    spectral-flow layer.
-    """
-    h = require_hermitian(h)
-    try:
-        values, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
-    return EigenSystem(values=values, vectors=vectors)
-
-
 def for_blocks(fn, n: int, block: int) -> None:
     """Call ``fn(k0, k1)`` for the blocks [0, block), [block, 2 block), ...
     of range(n), on the pool of the module docstring.
@@ -208,8 +185,9 @@ def eigh_batch(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched Hermitian eigendecomposition over the leading axis.
 
     Symmetrizes each block of the stack (callers guarantee
-    near-Hermiticity) and returns (values (K, N), vectors (K, N, N)).
-    Raises NotHermitianError on non-finite entries.
+    near-Hermiticity) and returns ascending values (K, N) and vectors
+    (K, N, N).  Raises NotHermitianError on non-finite entries and
+    NoConvergenceError where LAPACK fails.
     """
     hs = np.asarray(hs)
     flat = hs.reshape(-1, *hs.shape[-2:])
@@ -221,7 +199,10 @@ def eigh_batch(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         h = flat[k0:k1]
         if not np.isfinite(h).all():
             raise NotHermitianError("matrix stack contains non-finite entries")
-        values[k0:k1], vectors[k0:k1] = np.linalg.eigh(0.5 * (h + dagger(h)))
+        try:
+            values[k0:k1], vectors[k0:k1] = np.linalg.eigh(0.5 * (h + dagger(h)))
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(str(exc)) from exc
 
     for_blocks(block, flat.shape[0], EXPM_BLOCK)
     return values.reshape(hs.shape[:-1]), vectors.reshape(hs.shape)
@@ -229,9 +210,8 @@ def eigh_batch(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i H t) via spectral decomposition; unitary by construction."""
-    system = eigh(h)
-    phases = np.exp(-1j * system.values * t)
-    return (system.vectors * phases) @ dagger(system.vectors)
+    values, vectors = eigh_batch(require_hermitian(h))
+    return (vectors * np.exp(-1j * values * t)) @ dagger(vectors)
 
 
 def expm_unitary_batch(

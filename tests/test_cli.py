@@ -864,6 +864,32 @@ class TestInputEdges:
         assert capsys.readouterr().err.startswith("numerical error: min gap ")
         assert not (tmp_path / "out").exists()
 
+    def test_lapack_failure_exits_3_without_a_directory(self, tmp_path, capsys, monkeypatch):
+        def fail(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        path = tmp_path / "three.ini"
+        path.write_text(f"""
+[model]
+name = fourier
+dim = 3
+term1 = {{"matrix": [[0,0,0],[0,2,0],[0,0,5]], "omega": 0.0, "amplitude": 1.0}}
+term2 = {{"matrix": [[0,0.3,0.1],[0.3,0,0.2],[0.1,0.2,0]], "omega": 1.7, "amplitude": 1.0}}
+
+[run]
+tau_end = 4.0
+samples = 64
+level = 1
+
+[output]
+dir = {tmp_path / "out"}
+outputs = conditions
+""")
+        assert cli.main(["conditions", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == "numerical error: Eigenvalues did not converge\n"
+        assert not (tmp_path / "out").exists()
+
     def test_figure1_below_the_floor_exits_3_without_a_directory(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert cli.main(["figure1", "--out", str(out), "--grid", "64", "--tol", "0.5"]) == 3

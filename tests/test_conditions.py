@@ -11,21 +11,19 @@ from qgplab.conditions import (
     condition_report,
     constant_case_solution,
     pi_bound,
-    rrcp_check,
 )
 from qgplab.errors import (
     GapClosureError,
     InvalidParamsError,
     InvariantViolationError,
     MatchingAmbiguityError,
-    NotAntisymmetricError,
     UndefinedArgError,
 )
 from dataclasses import replace
 
 from conftest import random_hermitian
 from qgplab.frames import TimeGrid, build_frame, regauge
-from qgplab.linalg import SIGMA_Z, EigenSystem, expm_unitary
+from qgplab.linalg import SIGMA_Z, expm_unitary
 from qgplab.models import (
     FourierTerm,
     RotatingSpinParams,
@@ -198,37 +196,6 @@ class TestGaugeInvariance:
             assert new.new_pass == old.new_pass
 
 
-class TestRrcp:
-    def test_two_level_always_holds(self):
-        td = np.array([[0.0, 2.3], [-2.3, 0.0]])
-        ok, omega = rrcp_check(td)
-        assert ok
-        np.testing.assert_allclose(omega, [2.3, 0.0])
-
-    def test_constructed_from_omega_vector(self):
-        omega = np.array([3.0, 1.0, 0.0])
-        td = omega[:, None] - omega[None, :]
-        ok, recovered = rrcp_check(td)
-        assert ok
-        np.testing.assert_allclose(recovered, omega, atol=1e-12)
-
-    def test_perturbed_entry_fails(self):
-        omega = np.array([3.0, 1.0, 0.0])
-        td = omega[:, None] - omega[None, :]
-        td[0, 1] += 1e-3
-        td[1, 0] -= 1e-3
-        ok, _ = rrcp_check(td)
-        assert not ok
-
-    def test_non_antisymmetric_rejected(self):
-        with pytest.raises(NotAntisymmetricError):
-            rrcp_check(np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="^theta_dots must be a square matrix$"):
-            rrcp_check(np.zeros((2, 3)))
-
-
 class TestPiBound:
     def test_zero_couplings_exact(self):
         pi = PiMatrix(omegas=np.array([0.0, 3.0, 7.0]), couplings=np.zeros((3, 3)))
@@ -267,8 +234,8 @@ class TestPiBound:
 
     def test_ambiguous_pi_is_solved_once(self, monkeypatch):
         calls = []
-        exact = conditions.eigh
-        monkeypatch.setattr(conditions, "eigh", lambda h: calls.append(h) or exact(h))
+        exact = conditions.eigh_batch
+        monkeypatch.setattr(conditions, "eigh_batch", lambda h: calls.append(h) or exact(h))
         g = np.zeros((3, 3))
         g[1, 2] = g[2, 1] = 5.0
         with pytest.raises(MatchingAmbiguityError):
@@ -303,12 +270,23 @@ class TestPiBound:
         assert degenerate.condition_ratio(0) == math.inf
         assert degenerate.condition_ratio(2, pairing="strict") == 1.5 / 3.0
 
+    def test_misspelt_pairing_rejected(self):
+        # the two readings differ here: 2.0 / 5 conservative, 1.5 / 5 strict
+        g = np.zeros((3, 3))
+        g[0, 1] = g[1, 0] = 1.5
+        g[0, 2] = g[2, 0] = 2.0
+        pi = PiMatrix(omegas=np.array([0.0, 5.0, 7.0]), couplings=g)
+        assert pi.condition_ratio(0) == 2.0 / 5.0
+        assert pi.condition_ratio(0, pairing="strict") == 1.5 / 5.0
+        with pytest.raises(InvalidParamsError, match="^unknown pairing 'strcit'$"):
+            pi.condition_ratio(0, pairing="strcit")
+
     def test_violated_bound_raises(self, monkeypatch):
         """The bound holds for every Pi whose safety intervals are disjoint, so the
         eigenvalues are shifted by 0.25: every margin is then 0 - 0.25."""
-        exact = conditions.eigh
-        monkeypatch.setattr(conditions, "eigh", lambda h: EigenSystem(
-            exact(h).values + 0.25, exact(h).vectors))
+        exact = conditions.eigh_batch
+        monkeypatch.setattr(conditions, "eigh_batch", lambda h: (
+            exact(h)[0] + 0.25, exact(h)[1]))
         pi = PiMatrix(omegas=np.array([0.0, 3.0, 7.0]), couplings=np.zeros((3, 3)))
         with pytest.raises(InvariantViolationError, match="worst margin -2.500e-01"):
             pi_bound(pi)

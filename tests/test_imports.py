@@ -1,6 +1,7 @@
 """The CLI's import footprint: scipy.optimize loads only when tracking needs it,
-the CSV kernel only when a CSV is written, and concurrent.futures only when a
-batched kernel first splits its blocks across threads.
+the CSV kernel only when a CSV is written, concurrent.futures only when a
+batched kernel first splits its blocks across threads, and ``qgplab.qgp``
+only when it is imported by name.
 
 A fresh interpreter records whether ``scipy.optimize`` is in ``sys.modules``
 after importing the CLI, after a ``conditions`` run that keeps the eigh
@@ -45,9 +46,13 @@ from qgplab import cli
 state["after_import"] = loaded()
 state["kernel_after_import"] = "qgplab._g17" in sys.modules
 state["futures_after_import"] = "concurrent.futures" in sys.modules
+state["qgp_after_import"] = "qgplab.qgp" in sys.modules
 state["conditions_exit"] = cli.main(["conditions", "--config", config, "--out", out])
 state["after_conditions"] = loaded()
 state["kernel_after_conditions"] = "qgplab._g17" in sys.modules
+state["qgp_after_conditions"] = "qgplab.qgp" in sys.modules
+from qgplab import qgp
+state["qgp_imported"] = callable(qgp.qgp)
 import numpy as np
 from qgplab.frames import TimeGrid, build_frame
 sys.path.insert(0, tests)
@@ -100,3 +105,9 @@ def test_csv_kernel_loads_on_the_first_write(probe):
 
 def test_cli_import_leaves_the_thread_pool_unloaded(probe):
     assert probe["futures_after_import"] is False
+
+
+def test_cli_leaves_qgp_unloaded_until_it_is_imported(probe):
+    assert probe["qgp_after_import"] is False
+    assert probe["qgp_after_conditions"] is False
+    assert probe["qgp_imported"] is True

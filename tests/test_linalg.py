@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import random_hermitian
 from qgplab import linalg, models
 from qgplab.errors import NoConvergenceError, NotHermitianError
-from qgplab.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, eigh, expm_unitary
+from qgplab.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, eigh_batch, expm_unitary
 
 
 def char_poly_coeffs(h: np.ndarray) -> np.ndarray:
@@ -54,17 +54,20 @@ def bracketed_roots(coeffs: np.ndarray, lo: float, hi: float, n_scan: int = 2000
 
 
 class TestEigh:
+    """``eigh_batch``, the one eigensolver, on single matrices, and the input
+    checks of ``expm_unitary``, its single-matrix caller."""
+
     def test_sigma_z(self):
-        system = eigh(SIGMA_Z)
-        np.testing.assert_allclose(system.values, [-1.0, 1.0], atol=1e-14)
+        values, vectors = eigh_batch(SIGMA_Z)
+        np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-14)
         # lower level is |1> = (0,1), upper is |0> = (1,0), up to phase
-        assert abs(abs(system.vectors[1, 0]) - 1.0) < 1e-14
-        assert abs(abs(system.vectors[0, 1]) - 1.0) < 1e-14
+        assert abs(abs(vectors[1, 0]) - 1.0) < 1e-14
+        assert abs(abs(vectors[0, 1]) - 1.0) < 1e-14
 
     def test_sigma_x(self):
-        system = eigh(SIGMA_X)
-        np.testing.assert_allclose(system.values, [-1.0, 1.0], atol=1e-14)
-        minus, plus = system.vectors[:, 0], system.vectors[:, 1]
+        values, vectors = eigh_batch(SIGMA_X)
+        np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-14)
+        minus, plus = vectors[:, 0], vectors[:, 1]
         r = 1.0 / np.sqrt(2.0)
         assert abs(abs(np.vdot([r, -r], minus)) - 1.0) < 1e-12
         assert abs(abs(np.vdot([r, r], plus)) - 1.0) < 1e-12
@@ -74,17 +77,19 @@ class TestEigh:
         coeffs = char_poly_coeffs(h)
         radius = np.max(np.sum(np.abs(h), axis=1)) + 1.0
         roots = np.sort(bracketed_roots(coeffs, -radius, radius))
-        system = eigh(h)
+        values, _ = eigh_batch(h)
         assert roots.size == 4
-        np.testing.assert_allclose(system.values, roots, atol=1e-9)
+        np.testing.assert_allclose(values, roots, atol=1e-9)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            eigh(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        with pytest.raises(NotHermitianError, match="^Hermiticity defect "):
+            expm_unitary(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 1.0)
+        with pytest.raises(NotHermitianError, match="^expected a square matrix"):
+            expm_unitary(np.zeros((2, 3)), 1.0)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(NotHermitianError):
-            eigh(np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex))
+        with pytest.raises(NotHermitianError, match="^matrix contains non-finite entries$"):
+            expm_unitary(np.array([[np.inf, 0.0], [0.0, 1.0]], dtype=complex), 1.0)
 
     def test_lapack_failure_is_no_convergence(self, monkeypatch):
         def fail(h):
@@ -92,14 +97,16 @@ class TestEigh:
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NoConvergenceError, match="^Eigenvalues did not converge$"):
-            eigh(SIGMA_Z)
+            eigh_batch(SIGMA_Z)
+        with pytest.raises(NoConvergenceError, match="^Eigenvalues did not converge$"):
+            eigh_batch(np.stack([SIGMA_Z] * 3))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_batch_rejects_non_finite(self, rng, value):
         hs = np.stack([random_hermitian(rng, 3) for _ in range(3)])
         hs[1, 2, 0] = value
         with pytest.raises(NotHermitianError, match="non-finite"):
-            linalg.eigh_batch(hs)
+            eigh_batch(hs)
 
     def test_accepts_non_contiguous_input(self, rng):
         # transposes and strided slices have a non-contiguous last axis
@@ -107,7 +114,7 @@ class TestEigh:
         sub = random_hermitian(rng, 6)[::2, ::2]
         for view in (h.T, sub):
             assert not view.flags.c_contiguous
-            np.testing.assert_array_equal(eigh(view).values, eigh(view.copy()).values)
+            np.testing.assert_array_equal(eigh_batch(view)[0], eigh_batch(view.copy())[0])
             np.testing.assert_array_equal(
                 expm_unitary(view, 0.3), expm_unitary(view.copy(), 0.3)
             )
@@ -116,20 +123,19 @@ class TestEigh:
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 8))
     def test_reconstruction_and_trace(self, seed, n):
         h = random_hermitian(np.random.default_rng(seed), n)
-        system = eigh(h)
-        v = system.vectors
+        values, v = eigh_batch(h)
         # V^dag H V diagonal within 1e-10
         diag = v.conj().T @ h @ v
         off = diag - np.diag(np.diag(diag))
-        assert np.max(np.abs(off)) < 1e-10 * max(1.0, np.max(np.abs(system.values)))
-        assert abs(np.trace(h).real - np.sum(system.values)) < 1e-10 * max(
-            1.0, np.sum(np.abs(system.values))
+        assert np.max(np.abs(off)) < 1e-10 * max(1.0, np.max(np.abs(values)))
+        assert abs(np.trace(h).real - np.sum(values)) < 1e-10 * max(
+            1.0, np.sum(np.abs(values))
         )
         # residuals and unitarity
-        resid = h @ v - v * system.values
+        resid = h @ v - v * values
         assert np.max(np.abs(resid)) < 1e-10 * max(1.0, np.max(np.abs(h)))
         assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-10
-        assert np.all(np.diff(system.values) >= 0)
+        assert np.all(np.diff(values) >= 0)
 
 
 class TestRequireHermitian:

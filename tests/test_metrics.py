@@ -35,8 +35,7 @@ class TestFidelity:
         frame = build_frame(model, grid, gamma_mode="analytic_frame")
         traj = adiabatic_trajectory(frame, 1)
         fake = evolve.EvolutionResult(
-            grid=grid, states=traj.states, norms=np.ones(grid.n), method="exact",
-            substeps_per_interval=1, total_steps=grid.n - 1, max_norm_drift=0.0, refinements=0,
+            grid=grid, states=traj.states, method="exact", substeps_per_interval=1,
         )
         np.testing.assert_allclose(fidelity(fake, traj).values, 1.0, atol=1e-12)
 
@@ -47,8 +46,7 @@ class TestFidelity:
         upper = adiabatic_trajectory(frame, 1)
         lower = adiabatic_trajectory(frame, 0)
         fake = evolve.EvolutionResult(
-            grid=grid, states=lower.states, norms=np.ones(grid.n), method="exact",
-            substeps_per_interval=1, total_steps=grid.n - 1, max_norm_drift=0.0, refinements=0,
+            grid=grid, states=lower.states, method="exact", substeps_per_interval=1,
         )
         np.testing.assert_allclose(fidelity(fake, upper).values, 0.0, atol=1e-12)
 
@@ -58,9 +56,8 @@ class TestFidelity:
         frame_b = build_frame(model, TimeGrid.uniform(0.0, 1.0, 129), gamma_mode="analytic_frame")
         traj_b = adiabatic_trajectory(frame_b, 1)
         fake = evolve.EvolutionResult(
-            grid=frame_a.grid, states=frame_a.vectors[:, :, 1], norms=np.ones(65),
-            method="exact", substeps_per_interval=1, total_steps=64, max_norm_drift=0.0,
-            refinements=0,
+            grid=frame_a.grid, states=frame_a.vectors[:, :, 1], method="exact",
+            substeps_per_interval=1,
         )
         with pytest.raises(GridMismatchError):
             fidelity(fake, traj_b)
@@ -70,8 +67,7 @@ class TestFidelity:
         frame = build_frame(models.constant_model(np.diag([0.0, 1.0, 3.0])), grid)
         traj = adiabatic_trajectory(frame, 0)
         fake = evolve.EvolutionResult(
-            grid=grid, states=traj.states[:, :2], norms=np.ones(grid.n), method="exact",
-            substeps_per_interval=1, total_steps=grid.n - 1, max_norm_drift=0.0, refinements=0,
+            grid=grid, states=traj.states[:, :2], method="exact", substeps_per_interval=1,
         )
         with pytest.raises(GridMismatchError, match="^state dimensions differ$"):
             fidelity(fake, traj)
@@ -86,6 +82,12 @@ class TestFidelity:
         fid = fidelity(result, adiabatic_trajectory(frame, 1))
         np.testing.assert_allclose(fid.values, closed_form_F(params, grid.samples), atol=1e-6)
         assert np.all(fid.values >= 0.0) and np.all(fid.values <= 1.0 + 1e-12)
+        # the bookkeeping is derived from the states and the refinement trail
+        norms = np.linalg.norm(result.states, axis=1)
+        assert np.array_equal(result.norms, norms)
+        assert result.total_steps == result.substeps_per_interval * (grid.n - 1)
+        assert result.max_norm_drift == float(np.max(np.abs(norms - 1.0)))
+        assert result.refinements == len(result.convergence) > 0
 
 
 class TestClosedFormF:

@@ -110,8 +110,8 @@ class TestRobustModel:
     @pytest.mark.parametrize("tau", [0.0, 0.1, 0.5])
     def test_gap_equals_2n(self, tau):
         p = RobustModelParams(eta=0.9, eta0=7.0, eta1=0.8, eta2=5.0)
-        system = linalg.eigh(robust_model(p).evaluate(tau))
-        gap = system.values[1] - system.values[0]
+        values, _ = linalg.eigh_batch(robust_model(p).evaluate(tau))
+        gap = values[1] - values[0]
         assert abs(gap - 2.0 * float(p.gap_scale(tau))) < 1e-10
 
     def test_fig1_regime_constructs(self, fig1_params):
@@ -173,7 +173,7 @@ class TestBlochCurve:
         )
         model = bloch_curve(curve)
         for tau in np.linspace(0.0, 3.0, 16):
-            vals = linalg.eigh(model.evaluate(tau)).values
+            vals, _ = linalg.eigh_batch(model.evaluate(tau))
             np.testing.assert_allclose(vals, [-1.0, 1.0], atol=1e-12)
 
     def test_gap_closure_raises(self):

@@ -32,7 +32,7 @@ from . import metrics, reporting
 from .conditions import PAIRINGS, condition_report
 from .errors import ConfigError, NumericalError, QgplabError
 from .evolve import evolve_schrodinger
-from .frames import TimeGrid, adiabatic_trajectory, build_frame
+from .frames import TimeGrid, adiabatic_trajectory, build_frame, gamma_route, level_orbit
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, default_hermiticity_tol, hermiticity_defect
 from .models import (
     BlochCurveModel,
@@ -334,9 +334,12 @@ class ScenarioRun:
     The model is built, and ``cfg.level`` checked against it, on
     construction; every later stage at most once, on first use.  The
     evolution starts where ``trajectory``, the adiabatic orbit of level
-    ``cfg.level``, starts.  That orbit is all of the frame ``simulate`` reads,
-    so it releases the frame (``del run.frame``) once the orbit is built and
-    before the evolution runs; the other subcommands keep the frame.
+    ``cfg.level``, starts.  That orbit is all that ``simulate`` reads of a
+    frame.  Asked for before the frame on the analytic-derivative route, it
+    is built by ``level_orbit`` without gamma and no frame is built; on the
+    other routes ``simulate`` releases the frame once the orbit is built and
+    before the evolution runs.  The other subcommands build the frame first
+    and take the orbit from it.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -366,7 +369,9 @@ class ScenarioRun:
 
     @cached_property
     def trajectory(self):
-        return adiabatic_trajectory(self.frame, self.cfg.level)
+        if "frame" in vars(self) or gamma_route(self.model) != "analytic_derivative":
+            return adiabatic_trajectory(self.frame, self.cfg.level)
+        return level_orbit(self.model, self.grid, self.cfg.level)
 
     @cached_property
     def evolution(self):
@@ -388,9 +393,9 @@ def cmd_simulate(cfg: ScenarioConfig) -> int:
         # ahead of the evolution, as it may not exist (A = 0); the closed form
         # counts time from the start of the evolution
         closed_form = [metrics.closed_form_F(run.params, grid.samples - cfg.tau_start)]
-    # the orbit is all of the frame that the evolution and the fidelity read
+    # the orbit is all of a frame that the evolution and the fidelity read
     run.trajectory
-    del run.frame
+    vars(run).pop("frame", None)
     result, fid = run.evolution, run.fidelity
     out = reporting.ensure_dir(cfg.out_dir)
 

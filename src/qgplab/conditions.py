@@ -178,6 +178,9 @@ class PiMatrix:
         n = omegas.size
         if couplings.shape != (n, n):
             raise InvalidParamsError("couplings shape must match omegas")
+        for name, values in (("omegas", omegas), ("couplings", couplings)):
+            if not np.isfinite(values).all():
+                raise InvalidParamsError(f"{name} must be finite, got {values.tolist()!r}")
         if np.max(np.abs(couplings - couplings.T)) > 0:
             raise InvalidParamsError("couplings must be symmetric")
         if np.any(np.diag(couplings) != 0):

@@ -29,7 +29,7 @@ kept as the reference method (the default of ``schrodinger_fixed_step``).
 Stages of one fixed-substep pass
 --------------------------------
 The grid intervals are taken in chunks whose sample stack is at most
-``_CHUNK_BYTES`` (8 MiB).  Where a chunk can hold whole ``EXPM_BLOCK``
+``_CHUNK_BYTES`` (4 MiB).  Where a chunk can hold whole ``EXPM_BLOCK``
 blocks of exponentials, the U such units of the pass are split evenly over
 the n chunks: chunk c starts at unit ceil(c U / n), so the chunks differ by
 at most one unit and the last is never the larger.  A chunk holds one array:
@@ -47,6 +47,8 @@ blocked scan: blocks of w = ceil(sqrt(n)) transfers, w - 1 batched in-block
 prefix products, a sequential walk over the ceil(n/w) block ends for each
 block's start state, and one batched matvec for all states.  That is about
 n batched products and sqrt(n) Python steps where a loop takes n matvecs.
+The transfers are allocated with the identities that pad the last block,
+so the prefix products are formed over them in place.
 """
 
 from __future__ import annotations
@@ -64,10 +66,11 @@ from .models import HamiltonianModel
 
 #: bytes of each chunk's one stack of step matrices (samples, overwritten by
 #: the generators and then by their exponentials): bounds peak memory for
-#: every N; 2**17 matrices at N = 2, a whole number of ``EXPM_BLOCK`` blocks
-#: at N = 8.  4 MiB chunks lower the peak further but make more pool
-#: barriers per pass: slower in 8 of 10 paired benchmark runs
-_CHUNK_BYTES = 8 << 20
+#: every N; 2**16 matrices at N = 2, a whole number of ``EXPM_BLOCK`` blocks
+#: at N = 8.  On ``ladder8_dense`` the exponentials' stage peaks at 10.7 MiB
+#: against 16.3 MiB with 8 MiB chunks (``tracemalloc``, with 128-matrix Pade
+#: sub-blocks)
+_CHUNK_BYTES = 4 << 20
 
 _MIN_STEP = 1e-12
 
@@ -167,12 +170,22 @@ def _factor_generators(hs: np.ndarray, weights: np.ndarray) -> None:
         h[...] = g
 
 
+def _scan_layout(n: int) -> tuple[int, int]:
+    """(blocks, width) of the blocked scan of n transfers, w = ceil(sqrt(n))."""
+    width = math.isqrt(n - 1) + 1
+    return -(-n // width), width
+
+
 def _interval_transfers(
     sample_h, taus: np.ndarray, substeps: int, dim: int, rule: StepRule
 ) -> np.ndarray:
-    """Transfer matrix of every grid interval: ``substeps`` steps of ``rule``."""
+    """Transfer matrix of every grid interval: ``substeps`` steps of ``rule``,
+    followed by the identities that pad ``_scan_states``' last block."""
     n_int = taus.size - 1
-    transfers = np.empty((n_int, dim, dim), dtype=complex)
+    n_blocks, width = _scan_layout(n_int)
+    padded = np.empty((n_blocks * width, dim, dim), dtype=complex)
+    padded[n_int:] = np.eye(dim)
+    transfers = padded[:n_int]
     per_interval = substeps * rule.nodes.size
     matrix_bytes = np.dtype(complex).itemsize * dim * dim
     block = max(1, _CHUNK_BYTES // (matrix_bytes * per_interval))
@@ -205,20 +218,17 @@ def _interval_transfers(
         _compose_intervals(hs, transfers[i0:i1])
         # release the chunk before the next one is sampled
         del hs
-    return transfers
+    return padded
 
 
-def _scan_states(transfers: np.ndarray, psi0: np.ndarray) -> np.ndarray:
+def _scan_states(padded: np.ndarray, n: int, psi0: np.ndarray) -> np.ndarray:
     """States psi_0 .. psi_n with psi_{i+1} = transfers[i] @ psi_i, by the
-    blocked scan of the module docstring (the last block padded with
-    identities, whose products are never read)."""
-    n, dim = transfers.shape[0], psi0.size
-    width = math.isqrt(n - 1) + 1
-    n_blocks = -(-n // width)
-    prefix = np.empty((n_blocks * width, dim, dim), dtype=complex)
-    prefix[:n] = transfers
-    prefix[n:] = np.eye(dim)
-    prefix = prefix.reshape(n_blocks, width, dim, dim)
+    blocked scan of the module docstring, in place over ``padded``: the n
+    transfers, then identities up to the whole blocks of ``_scan_layout(n)``,
+    whose products are never read."""
+    dim = psi0.size
+    n_blocks, width = _scan_layout(n)
+    prefix = padded.reshape(n_blocks, width, dim, dim)
     for j in range(1, width):
         prefix[:, j] = matmul_batch(prefix[:, j], prefix[:, j - 1])
     starts = np.empty((n_blocks, dim), dtype=complex)
@@ -234,8 +244,8 @@ def _scan_states(transfers: np.ndarray, psi0: np.ndarray) -> np.ndarray:
 def _propagate_fixed(
     sample_h, psi0: np.ndarray, taus: np.ndarray, substeps: int, rule: StepRule
 ) -> np.ndarray:
-    transfers = _interval_transfers(sample_h, taus, substeps, psi0.size, rule)
-    return _scan_states(transfers, psi0)
+    padded = _interval_transfers(sample_h, taus, substeps, psi0.size, rule)
+    return _scan_states(padded, taus.size - 1, psi0)
 
 
 #: refinement aborts once a single pass would exceed this many substeps

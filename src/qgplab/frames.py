@@ -29,6 +29,13 @@ gamma comes from one of three routes, recorded in ``gamma_mode``:
   diagonals from finite differences of the gauge-fixed vectors;
 * ``finite_difference``   - 4th-order differences of the vectors throughout.
 
+``level_orbit(model, grid, m)`` is the adiabatic orbit of one level,
+``adiabatic_trajectory(build_frame(model, grid), m)`` to the byte.  On the
+analytic-derivative route it shares ``build_frame``'s eigh, tracking, gap
+check and overlap warning, then differentiates phi_m alone and forms only
+gamma_mm: no gamma stack, no stencil of every vector and no h-dot.  The
+transport phases are multiplied into eigh's own vectors.
+
 ``pair_series(frame, m, n)`` alone checks a level pair (OutOfRange, or
 ValueError for m == n) and derives all per-pair data once: |gamma_nm|, arg
 gamma_nm unwrapped per coupled run with its ``unwrap_flags`` (counted on
@@ -132,7 +139,8 @@ class SpectralFrame:
         return float(np.max(np.abs(gram - eye)))
 
 
-def _resolve_gamma_mode(model: HamiltonianModel, gamma_mode: str) -> str:
+def gamma_route(model: HamiltonianModel, gamma_mode: str = "auto") -> str:
+    """The gamma route ``build_frame(model, grid, gamma_mode)`` takes."""
     if gamma_mode == "auto":
         if model.analytic_frame is not None:
             return "analytic_frame"
@@ -151,6 +159,14 @@ def _resolve_gamma_mode(model: HamiltonianModel, gamma_mode: str) -> str:
 def _pairwise_min_gap(energies: np.ndarray) -> float:
     sorted_e = np.sort(energies, axis=1)
     return float(np.min(np.diff(sorted_e, axis=1)))
+
+
+def _checked_gap(energies: np.ndarray) -> float:
+    """The pairwise min gap; GapClosureError below ``GAP_FLOOR``."""
+    min_gap = _pairwise_min_gap(energies)
+    if min_gap < GAP_FLOOR:
+        raise GapClosureError(f"min gap {min_gap:.3e} below floor {GAP_FLOOR:.3e}")
+    return min_gap
 
 
 def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,8 +194,11 @@ def _track_levels(
 
     When every diagonal overlap of a step exceeds 1/sqrt(2), each other
     overlap in its row is at most sqrt(1 - |diag|^2) < |diag| (orthonormal
-    columns), so the identity is the unique maximum matching there.
+    columns), so the identity is the unique maximum matching there.  The
+    transport phases are multiplied into ``vectors``, which the caller gives
+    up, once it is complex.
     """
+    vectors = vectors.astype(np.result_type(vectors, 1j), copy=False)
     overlaps = _diagonal_overlaps(vectors)
     steps = np.flatnonzero(np.any(np.abs(overlaps) <= _IDENTITY_OVERLAP, axis=1))
     if steps.size:
@@ -205,15 +224,30 @@ def _track_levels(
         overlaps = _diagonal_overlaps(vectors)
     phases = np.zeros(energies.shape)
     np.cumsum(np.angle(overlaps), axis=0, out=phases[1:])
-    transported = np.empty(vectors.shape, dtype=np.result_type(vectors, 1j))
 
     def block(k0, k1):
-        factors = np.exp(-1j * phases[k0:k1])[:, None, :]
-        np.multiply(vectors[k0:k1], factors, out=transported[k0:k1])
+        vectors[k0:k1] *= np.exp(-1j * phases[k0:k1])[:, None, :]
 
-    for_blocks(block, transported.shape[0], EXPM_BLOCK)
+    for_blocks(block, vectors.shape[0], EXPM_BLOCK)
     min_overlap = min(1.0, float(np.min(np.abs(overlaps))))
-    return energies, transported, min_overlap
+    return energies, vectors, min_overlap
+
+
+def _tracked_eigh(
+    model: HamiltonianModel, taus: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``_track_levels`` of eigh on the samples of ``model``, warning on a low overlap."""
+    energies, vectors = eigh_batch(model.sample(taus))
+    energies, vectors, min_overlap = _track_levels(energies, vectors)
+    if min_overlap < 0.99:
+        log.warning("level-tracking overlap dropped to %.4f (< 0.99); consider a finer grid",
+                    min_overlap)
+    return energies, vectors, min_overlap
+
+
+def _gamma_diagonal(vectors: np.ndarray, dvec: np.ndarray) -> np.ndarray:
+    """gamma_nn = i<phi_n|phi_n_dot> of each column n of ``vectors``, shape (K, N)."""
+    return 1j * np.einsum("kin,kin->kn", vectors.conj(), dvec)
 
 
 def _gamma(
@@ -237,7 +271,7 @@ def _gamma(
         np.matmul(dagger(v), g @ v, out=g)
         g *= 1j
         g /= energies[k0:k1, None, :] - energies[k0:k1, :, None]
-        g[:, idx, idx] = 1j * np.einsum("kin,kin->kn", v.conj(), dv)
+        g[:, idx, idx] = _gamma_diagonal(v, dv)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for_blocks(block, gamma.shape[0], EXPM_BLOCK)
@@ -250,7 +284,7 @@ def build_frame(
     gamma_mode: str = "auto",
 ) -> SpectralFrame:
     """Construct the gauge-continuous eigenframe of ``model`` on ``grid``."""
-    mode = _resolve_gamma_mode(model, gamma_mode)
+    mode = gamma_route(model, gamma_mode)
     taus = grid.samples
     delta, min_overlap = None, 1.0
 
@@ -259,15 +293,8 @@ def build_frame(
         if model.analytic_frame.delta_at is not None:
             delta = model.analytic_frame.delta_at(taus)
     else:
-        energies, vectors = eigh_batch(model.sample(taus))
-        energies, vectors, min_overlap = _track_levels(energies, vectors)
-        if min_overlap < 0.99:
-            log.warning("level-tracking overlap dropped to %.4f (< 0.99); consider a finer grid",
-                        min_overlap)
-
-    min_gap = _pairwise_min_gap(energies)
-    if min_gap < GAP_FLOOR:
-        raise GapClosureError(f"min gap {min_gap:.3e} below floor {GAP_FLOOR:.3e}")
+        energies, vectors, min_overlap = _tracked_eigh(model, taus)
+    min_gap = _checked_gap(energies)
 
     if mode != "analytic_frame":
         dvec = numerics.derivative_series(vectors, taus)
@@ -334,7 +361,7 @@ def pair_series(frame: SpectralFrame, m: int, n: int) -> QgpSeries:
     Delta_mn is the frame's closed form if it has one, else gamma_mm - gamma_nn
     plus the 4th-order stencil of the unwrapped arg gamma_nm on each coupled run.
     """
-    _require_levels(frame, m, n)
+    _require_levels(frame.dim, m, n)
     if m == n:
         raise ValueError(f"pair ({m}, {n}) needs two different levels")
     taus = frame.grid.samples
@@ -400,13 +427,37 @@ class AdiabaticTrajectory:
     states: np.ndarray
 
 
+def _orbit(
+    grid: TimeGrid, m: int, energy: np.ndarray, gamma_mm: np.ndarray, phi: np.ndarray
+) -> AdiabaticTrajectory:
+    phases = numerics.cumulative_integral(energy - gamma_mm.real, grid.samples)
+    states = np.exp(-1j * phases)[:, None] * phi
+    return AdiabaticTrajectory(grid=grid, level=m, phases=phases, states=states)
+
+
 def adiabatic_trajectory(frame: SpectralFrame, m: int) -> AdiabaticTrajectory:
-    _require_levels(frame, m, m)
-    taus = frame.grid.samples
-    integrand = frame.energies[:, m] - frame.gamma[:, m, m].real
-    phases = numerics.cumulative_integral(integrand, taus)
-    states = np.exp(-1j * phases)[:, None] * frame.vectors[:, :, m]
-    return AdiabaticTrajectory(grid=frame.grid, level=m, phases=phases, states=states)
+    _require_levels(frame.dim, m)
+    return _orbit(frame.grid, m, frame.energies[:, m], frame.gamma[:, m, m], frame.vectors[:, :, m])
+
+
+def level_orbit(model: HamiltonianModel, grid: TimeGrid, m: int) -> AdiabaticTrajectory:
+    """``adiabatic_trajectory(build_frame(model, grid), m)``, the same bytes.
+
+    On the analytic-derivative route only gamma_mm is formed: the 4th-order
+    stencil of phi_m alone, shape (K, N), and the einsum of ``_gamma``'s
+    diagonal.  No gamma stack is built and h-dot is never sampled, so the
+    orbit holds the eigh stacks and nothing of size (K, N, N) beside them.
+    The other routes build the frame.
+    """
+    if gamma_route(model) != "analytic_derivative":
+        return adiabatic_trajectory(build_frame(model, grid), m)
+    _require_levels(model.dim, m)
+    taus = grid.samples
+    energies, vectors, _ = _tracked_eigh(model, taus)
+    _checked_gap(energies)
+    dphi = numerics.derivative_series(vectors, taus, column=m)
+    gamma_mm = _gamma_diagonal(vectors[:, :, m : m + 1], dphi[:, :, None])[:, 0]
+    return _orbit(grid, m, energies[:, m], gamma_mm, vectors[:, :, m])
 
 
 def regauge(frame: SpectralFrame, fs: list[SmoothScalar]) -> SpectralFrame:
@@ -431,8 +482,8 @@ def regauge(frame: SpectralFrame, fs: list[SmoothScalar]) -> SpectralFrame:
     return replace(frame, vectors=vectors, gamma=gamma, gamma_mode=frame.gamma_mode + "+regauge")
 
 
-def _require_levels(frame: SpectralFrame, *levels: int) -> None:
+def _require_levels(dim: int, *levels: int) -> None:
     for lvl in levels:
-        if not 0 <= lvl < frame.dim:
-            raise OutOfRangeError(f"level {lvl} outside 0..{frame.dim - 1}")
+        if not 0 <= lvl < dim:
+            raise OutOfRangeError(f"level {lvl} outside 0..{dim - 1}")
 

@@ -23,7 +23,7 @@ keeps the spectral route and serves as the oracle of the batched one.
 such as the generator stack itself.  Each block of ``EXPM_BLOCK`` matrices
 forms its A in its own slice of ``out`` and picks its degree and squarings
 from the whole block; the approximant is then evaluated in sub-blocks of
-256 matrices, each written over its A, so a block's temporaries are a few
+128 matrices, each written over its A, so a block's temporaries are a few
 sub-blocks: U and V are summed in place and Q = V - U overwrites the
 sub-block's A.  The Pauli form also runs block by block, on the calling
 thread, so its elementwise temporaries are one block's worth.
@@ -35,19 +35,23 @@ entries as elementwise products of the stacked entries, 5-7x faster on
 ``@``.
 
 The batched kernels split their stacks across threads.  ``for_blocks``
-runs the N > 2 exponential, ``eigh_batch``, the ``fourier`` model's
-sample sums and the per-sample stages of ``frames.build_frame`` (diagonal
-overlaps, transport phases, gamma assembly) on a thread pool, one fixed
-contiguous block of the leading axis per task, each task writing a disjoint
+runs the N > 2 exponential, ``eigh_batch`` (in blocks of ``EIGH_BLOCK``,
+512 matrices, whose symmetrized copies and LAPACK results are half the
+size of an ``EXPM_BLOCK`` block's), the ``fourier`` model's sample sums and
+the per-sample stages of ``frames.build_frame`` (diagonal overlaps,
+transport phases, gamma assembly) on a thread pool, one fixed contiguous
+block of the leading axis per task, each task writing a disjoint
 slice of an output allocated beforehand.  numpy releases the interpreter
 lock inside LAPACK, ``matmul`` and ``einsum``, so the blocks run in
 parallel.  The pool is created on first use with one worker per CPU the
 process may run on (``os.sched_getaffinity``); with one such CPU, or one
-block, the blocks run inline on the calling thread, and there is no option.  The bytes do not
-depend on the thread count: the block boundaries are fixed (``EXPM_BLOCK``
-from index 0), every result is computed per matrix within its block, and
-the exponential picks its Pade degree and squarings per block, exactly as
-an inline loop over the same blocks does.  The public functions themselves
+block, the blocks run inline on the calling thread, and there is no option.
+The bytes do not depend on the thread count: the block boundaries are
+fixed (from index 0), every result is computed per matrix within its
+block, and the exponential picks its Pade degree and squarings per
+``EXPM_BLOCK`` block, exactly as an inline loop over the same blocks does.
+For the same reason neither ``EIGH_BLOCK`` nor ``_PADE_SUB_BLOCK`` moves a
+byte; ``EXPM_BLOCK`` does.  The public functions themselves
 (``eigh_batch``, ``expm_unitary_batch``, ``model.sample``,
 ``model.sample_derivative``, ``numerics.derivative_series``) always run on
 the calling thread; only the blocks they hand to ``for_blocks`` run on the
@@ -74,7 +78,9 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 #: fixes where the N > 2 exponential picks its Pade degree)
 EXPM_BLOCK = 1024
 #: matrices per sub-block of the N > 2 Pade evaluation (bounds its temporaries)
-_PADE_SUB_BLOCK = 256
+_PADE_SUB_BLOCK = 128
+#: matrices per block of ``eigh_batch`` (bounds its symmetrized copies)
+EIGH_BLOCK = 512
 
 #: the pool of ``for_blocks``, created on first use
 _pool = None
@@ -204,7 +210,7 @@ def eigh_batch(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(str(exc)) from exc
 
-    for_blocks(block, flat.shape[0], EXPM_BLOCK)
+    for_blocks(block, flat.shape[0], EIGH_BLOCK)
     return values.reshape(hs.shape[:-1]), vectors.reshape(hs.shape)
 
 

@@ -28,9 +28,12 @@ def _is_uniform(x: np.ndarray) -> bool:
     return bool(np.allclose(steps, steps[0], rtol=1e-9, atol=1e-15 * scale))
 
 
-def _local_polynomial(y: np.ndarray, x: np.ndarray, out: np.ndarray, integrate: bool) -> np.ndarray:
+def _local_polynomial(
+    y: np.ndarray, x: np.ndarray, out: np.ndarray, integrate: bool, pick=...
+) -> np.ndarray:
     """Fill out[i] with the derivative at x[i] (or with ``integrate`` the integral
-    over [x[i], x[i+1]]) of the polynomial through the 5 (4) nodes nearest i.
+    over [x[i], x[i+1]]) of the polynomial through the 5 (4) nodes nearest i,
+    for the entries ``pick`` of y's trailing axes.
 
     All windows' Vandermonde systems, in the scaled offsets (x - x[i]) / span,
     are solved at once; the weights are applied as shifted slices of y.
@@ -50,45 +53,54 @@ def _local_polynomial(y: np.ndarray, x: np.ndarray, out: np.ndarray, integrate: 
         functional[:, 1] = 1.0 / span
     weights = np.linalg.solve(vandermonde_t, functional[:, :, None])[:, :, 0]
 
-    w = weights.reshape(weights.shape + (1,) * (y.ndim - 1))
+    part = y[pick]
+    w = weights.reshape(weights.shape + (1,) * (part.ndim - 1))
     inner = slice(lead, k - width + lead + 1)
     mid, term = out[inner], np.empty_like(out[inner])
-    np.multiply(y[: k - width + 1], w[inner, 0], out=mid)
+    np.multiply(part[: k - width + 1], w[inner, 0], out=mid)
     for j in range(1, width):
-        mid += np.multiply(y[j : k - width + 1 + j], w[inner, j], out=term)
+        mid += np.multiply(part[j : k - width + 1 + j], w[inner, j], out=term)
     for i in [*range(lead), *range(inner.stop, n)]:
-        out[i] = np.tensordot(weights[i], y[:width] if i < lead else y[-width:], axes=(0, 0))
+        edge = y[:width] if i < lead else y[-width:]
+        out[i] = np.tensordot(weights[i], edge, axes=(0, 0))[pick]
     return out
 
 
-def derivative_series(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+def derivative_series(y: np.ndarray, x: np.ndarray, column: int | None = None) -> np.ndarray:
     """d y/d x sampled on the grid x, differentiating along axis 0.
 
     Uniform grids use 4th-order central stencils with one-sided 4th-order
     edges; non-uniform grids differentiate the quartic through the 5 nodes
     nearest each node.  Grids shorter than 5 samples use numpy.gradient.
+
+    With ``column`` only y[..., column] is differentiated, to the bytes of
+    ``derivative_series(y, x)[..., column]``: the edge rows are weighted sums
+    that BLAS rounds by an entry's place in the whole row, so those few rows
+    are formed on all of y and then indexed.
     """
     y = np.asarray(y)
     x = np.asarray(x, dtype=float)
+    pick = ... if column is None else (..., column)
+    part = y[pick]
     k = x.size
     if k < 5:
-        return np.gradient(y, x, axis=0, edge_order=min(2, k - 1))
+        return np.gradient(part, x, axis=0, edge_order=min(2, k - 1))
     h = x[1] - x[0]
-    out = np.empty_like(y, dtype=np.result_type(y.dtype, float))
+    out = np.empty_like(part, dtype=np.result_type(y.dtype, float))
     if _is_uniform(x):
         # (y[i-2] - 8 y[i-1] + 8 y[i+1] - y[i+2]) / 12h, accumulated in place
         mid = out[2:-2]
-        np.subtract(y[3:-1], y[1:-3], out=mid)
+        np.subtract(part[3:-1], part[1:-3], out=mid)
         mid *= 8.0
-        mid += y[:-4]
-        mid -= y[4:]
+        mid += part[:-4]
+        mid -= part[4:]
         mid /= 12.0 * h
-        out[0] = np.tensordot(_EDGE0, y[:5], axes=(0, 0)) / h
-        out[1] = np.tensordot(_EDGE1, y[:5], axes=(0, 0)) / h
-        out[-1] = -np.tensordot(_EDGE0, y[-5:][::-1], axes=(0, 0)) / h
-        out[-2] = -np.tensordot(_EDGE1, y[-5:][::-1], axes=(0, 0)) / h
+        out[0] = np.tensordot(_EDGE0, y[:5], axes=(0, 0))[pick] / h
+        out[1] = np.tensordot(_EDGE1, y[:5], axes=(0, 0))[pick] / h
+        out[-1] = -np.tensordot(_EDGE0, y[-5:][::-1], axes=(0, 0))[pick] / h
+        out[-2] = -np.tensordot(_EDGE1, y[-5:][::-1], axes=(0, 0))[pick] / h
         return out
-    return _local_polynomial(y, x, out, integrate=False)
+    return _local_polynomial(y, x, out, integrate=False, pick=pick)
 
 
 def unwrap_angles(angles: np.ndarray) -> tuple[np.ndarray, int]:

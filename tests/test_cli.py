@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qgplab import cli, errors, linalg, metrics, models
+from qgplab import cli, errors, evolve, linalg, metrics, models
 from qgplab.models import BlochCurveModel, RobustModelParams, RotatingSpinParams, SmoothScalar
 
 ROTATING_CONFIG = """
@@ -628,8 +629,51 @@ class TestFrameRelease:
             config = tmp_path / "constant.ini"
             config.write_text(CONSTANT_CONFIG.format(out=tmp_path / "out"))
         assert cli.main(["simulate", "--config", str(config)]) == 0
-        assert len(frames) == 1
+        if route == "analytic_derivative":
+            # the orbit is built without a frame
+            assert frames == []
+        else:
+            assert len(frames) == 1
         assert alive == [0]
+
+    def test_eight_level_orbit_samples_no_derivative(self, tmp_path, monkeypatch):
+        calls = {"build_frame": 0, "sample_derivative": 0}
+        for owner, name in ((cli, "build_frame"), (models.HamiltonianModel, "sample_derivative")):
+
+            def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        config = tmp_path / "eight.ini"
+        config.write_text(eight_level_config(tmp_path / "out"))
+        assert cli.main(["simulate", "--config", str(config)]) == 0
+        assert calls == {"build_frame": 0, "sample_derivative": 0}
+
+    def test_eight_level_simulate_holds_two_stacks(self, tmp_path, monkeypatch):
+        # one usable CPU: every block runs inline, one at a time
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        samples, dim = 4097, 8
+        config = tmp_path / "eight.ini"
+        config.write_text(eight_level_config(tmp_path / "out").replace(
+            "samples = 2100", f"samples = {samples}"))
+        tracemalloc.start()
+        try:
+            assert cli.main(["simulate", "--config", str(config)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = 16 * dim * dim
+        stack = samples * matrix_bytes
+        # two (K, N, N) stacks: eigh's samples and vectors, or a pass's
+        # transfers and one chunk (4 MiB, one stack here); the blocks in
+        # flight: one EXPM_BLOCK block and eight Pade sub-blocks, or eigh's
+        # copies, and the 32nd of a chunk that the generators are formed
+        # through; four (K, N) arrays: the orbit, the states of two passes
+        # and the columns being written
+        bound = (2 * stack + (linalg.EXPM_BLOCK + 8 * linalg._PADE_SUB_BLOCK) * matrix_bytes
+                 + evolve._CHUNK_BYTES // 32 + 4 * samples * dim * 16)
+        assert peak <= bound
 
 
 class TestInputEdges:

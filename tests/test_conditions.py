@@ -256,6 +256,16 @@ class TestPiBound:
         with pytest.raises(InvalidParamsError, match="couplings must be symmetric"):
             PiMatrix(omegas=np.array([0.0, 3.0, 7.0]), couplings=asymmetric)
 
+    def test_nan_coupling_rejected(self):
+        # a NaN passes the symmetry and sign checks
+        couplings = np.array([[0.0, np.nan], [np.nan, 0.0]])
+        with pytest.raises(InvalidParamsError, match=r"^couplings must be finite, got \[\[0\.0, nan\]"):
+            PiMatrix(omegas=np.array([0.0, 3.0]), couplings=couplings)
+
+    def test_infinite_omega_rejected(self):
+        with pytest.raises(InvalidParamsError, match=r"^omegas must be finite, got \[0\.0, inf\]$"):
+            PiMatrix(omegas=np.array([0.0, np.inf]), couplings=np.zeros((2, 2)))
+
     def test_three_level_condition_ratio(self):
         g = np.zeros((3, 3))
         g[0, 1] = g[1, 0] = 0.4

@@ -191,7 +191,9 @@ class TestStateScan:
         transfers = linalg.expm_unitary_batch(a + linalg.dagger(a), 1.0)
         psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi0 /= np.linalg.norm(psi0)
-        states = evolve._scan_states(transfers, psi0)
+        n_blocks, width = evolve._scan_layout(n)
+        padding = np.broadcast_to(np.eye(dim), (n_blocks * width - n, dim, dim))
+        states = evolve._scan_states(np.concatenate([transfers, padding]), n, psi0)
         # a state is a product of at most n unitaries on either side; each
         # product adds O(dim eps) error
         atol = 4 * dim * (n + 1) * np.finfo(float).eps

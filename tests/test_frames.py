@@ -315,6 +315,60 @@ class TestAdiabaticTrajectory:
         assert np.max(np.abs(overlap - 1.0)) < 1e-6
 
 
+class TestLevelOrbit:
+    """``level_orbit(model, grid, m)`` is ``adiabatic_trajectory(build_frame(model,
+    grid), m)`` byte for byte, on every route; on the analytic-derivative one
+    it never samples h-dot."""
+
+    @staticmethod
+    def models():
+        curve = BlochCurveModel(theta=SmoothScalar.poly([1.0, 0.3]), phi=SmoothScalar.poly([0.0, 1.0]))
+        return {
+            "fourier3": random_fourier(3, 3),
+            "fourier8": random_fourier(4, 8),
+            "robust": models.robust_model(models.RobustModelParams(1.0, 2.0, 0.5, 3.0)),
+            "bloch_curve": bloch_curve(curve),
+            "rotating": rotating_spin(RotatingSpinParams(eta=1.0, xi=0.5, K=1.0)),
+            "finite_difference": bloch_curve(BlochCurveModel(
+                theta=SmoothScalar.from_callable(curve.theta.value),
+                phi=SmoothScalar.from_callable(curve.phi.value),
+            )),
+        }
+
+    @pytest.mark.parametrize("name", ["fourier3", "fourier8", "robust", "bloch_curve",
+                                      "rotating", "finite_difference"])
+    def test_equals_the_orbit_of_the_frame(self, name):
+        model = self.models()[name]
+        grid = TimeGrid.uniform(0.0, 2.0, 1025)
+        frame = build_frame(model, grid)
+        for m in range(model.dim):
+            expected, orbit = adiabatic_trajectory(frame, m), frames.level_orbit(model, grid, m)
+            assert orbit.grid is grid and orbit.level == m
+            assert np.array_equal(orbit.phases, expected.phases)
+            assert np.array_equal(orbit.states, expected.states)
+
+    @pytest.mark.parametrize("samples", [4, 7, 60])
+    def test_short_and_clustered_grids(self, rng, samples):
+        # numpy's gradient below 5 samples, the local quartic above
+        model = random_fourier(3, 3)
+        grid = TimeGrid(np.cumsum(rng.uniform(0.5, 1.5, samples)) / (2.0 * samples))
+        frame = build_frame(model, grid)
+        for m in range(3):
+            expected, orbit = adiabatic_trajectory(frame, m), frames.level_orbit(model, grid, m)
+            assert np.array_equal(orbit.phases, expected.phases)
+            assert np.array_equal(orbit.states, expected.states)
+
+    def test_analytic_derivative_route_samples_no_derivative(self, monkeypatch):
+        model = random_fourier(3, 8)
+        monkeypatch.setattr(models.HamiltonianModel, "sample_derivative", None)
+        orbit = frames.level_orbit(model, TimeGrid.uniform(0.0, 1.0, 257), 5)
+        assert orbit.states.shape == (257, 8)
+
+    def test_level_outside_the_model_raises(self):
+        with pytest.raises(OutOfRangeError, match="level 3 outside 0..2"):
+            frames.level_orbit(random_fourier(3, 3), TimeGrid.uniform(0.0, 1.0, 65), 3)
+
+
 class TestRegauge:
     def test_rejects_a_wrong_count_of_functions(self, rot_model, grid):
         frame = build_frame(rot_model, grid, gamma_mode="analytic_frame")

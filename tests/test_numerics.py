@@ -29,6 +29,22 @@ class TestDerivativeSeries:
         np.testing.assert_allclose(derivative_series(y, x), dy, rtol=0.0, atol=1e-11)
 
 
+class TestOneColumn:
+    """``derivative_series(y, x, column=j)`` is ``derivative_series(y, x)[..., j]``
+    byte for byte.  BLAS rounds an entry of the edge rows by the width of the
+    product: a column alone differs from the whole row at N = 2 and 3."""
+
+    @pytest.mark.parametrize("grid", ["uniform", "clustered", "short"])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_column_equals_the_whole_stack(self, rng, grid, dim):
+        k = {"uniform": 257, "clustered": 60, "short": 4}[grid]
+        x = clustered_grid(rng, k) if grid == "clustered" else np.linspace(0.0, 1.0, k)
+        y = rng.standard_normal((k, dim, dim)) + 1j * rng.standard_normal((k, dim, dim))
+        whole = derivative_series(y, x)
+        for j in range(dim):
+            assert np.array_equal(derivative_series(y, x, column=j), whole[..., j])
+
+
 class TestShortGrids:
     """Grids too short for the 4th-order rules fall back to numpy's gradient
     and the trapezoid rule."""
